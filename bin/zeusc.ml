@@ -342,7 +342,7 @@ let sim_cmd =
           ~doc:
             "Scheduling engine: $(b,firing), $(b,firing-strict), \
              $(b,fixpoint), $(b,relaxation), $(b,incremental) \
-             (default), $(b,parallel-level) or $(b,compiled).  All \
+             (default) or $(b,compiled).  All \
              engines compute identical values.  With $(b,--batch) this \
              picks the per-run template; $(b,compiled) additionally \
              packs runs $(b,--lanes) at a time.")
@@ -353,10 +353,9 @@ let sim_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Domains for $(b,--engine parallel-level) chunking and for \
-             $(b,--batch) run sharding (default: the recommended domain \
-             count).  Results are bit-identical at any value; only the \
-             work distribution changes.")
+            "Domains for $(b,--batch) run sharding (default: the \
+             recommended domain count).  Results are bit-identical at any \
+             value; only the work distribution changes.")
   in
   let batch_file =
     Arg.(
@@ -384,26 +383,15 @@ let sim_cmd =
              runs one bytecode pass evaluates at once (default 8).  \
              Results are bit-identical at any value.")
   in
-  let grain =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "grain" ] ~docv:"N"
-          ~doc:
-            "Minimum dirty-level width the parallel engine fans out to \
-             the domain pool; narrower levels run on the calling domain.")
-  in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
             "After the run, print the work breakdown: total node visits, \
-             for the parallel-level engine the per-level fan-out, barrier \
-             and per-domain visit counters, for the compiled engine \
-             the program size, vector coverage and one-time compile \
-             time, and for $(b,--batch) the run/job/lane counters (all \
-             but the compile time deterministic).")
+             for the compiled engine the program size and vector \
+             coverage, and for $(b,--batch) the run/job/lane counters \
+             (all deterministic).")
   in
   let optimize =
     Arg.(
@@ -440,7 +428,7 @@ let sim_cmd =
         Fmt.epr "batch file %s: no runs@." bf;
         1
     | Ok runs ->
-        let tmpl = Zeus.Sim.create ~engine ~jobs:1 ~optimize ?discharged design in
+        let tmpl = Zeus.Sim.create ~engine ~optimize ?discharged design in
         let results, st = Zeus.Sim.run_batch ?jobs ~lanes tmpl runs in
         List.iteri
           (fun i (res : Zeus.Sim.batch_result) ->
@@ -469,7 +457,7 @@ let sim_cmd =
         0
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
-      engine jobs grain stats optimize discharge batch_file lanes =
+      engine jobs stats optimize discharge batch_file lanes =
     match Zeus.compile (load file) with
     | Error diags ->
         report_diags diags;
@@ -490,7 +478,7 @@ let sim_cmd =
               ~stats ~watch:peeks bf
         | None ->
         let sim =
-          Zeus.Sim.create ~engine ?jobs ~grain ~optimize ?discharged design
+          Zeus.Sim.create ~engine ~optimize ?discharged design
         in
         List.iter (fun (p, v) ->
             if v <= 1 then Zeus.Sim.poke sim p [ (if v = 1 then Zeus.Logic.One else Zeus.Logic.Zero) ]
@@ -544,19 +532,6 @@ let sim_cmd =
             (Zeus.Sim.trace_last_cycle sim);
         if stats then begin
           Fmt.pr "node visits: %d@." (Zeus.Sim.node_visits sim);
-          (match Zeus.Sim.parallel_stats sim with
-          | None -> ()
-          | Some s ->
-              Fmt.pr
-                "parallel: jobs=%d levels=%d chunked=%d barriers=%d \
-                 node-tasks=%d net-tasks=%d max-fanout=%d@."
-                s.Zeus.Sim.par_jobs s.Zeus.Sim.par_levels
-                s.Zeus.Sim.par_chunked_levels s.Zeus.Sim.par_barriers
-                s.Zeus.Sim.par_node_tasks s.Zeus.Sim.par_net_tasks
-                s.Zeus.Sim.par_max_fanout;
-              Fmt.pr "domain visits:%a@."
-                Fmt.(array ~sep:nop (fmt " %d"))
-                s.Zeus.Sim.par_domain_visits);
           (match Zeus.Sim.compiled_stats sim with
           | None -> ()
           | Some s ->
@@ -566,8 +541,7 @@ let sim_cmd =
                 s.Zeus.Sim.c_ops s.Zeus.Sim.c_scalar_ops
                 s.Zeus.Sim.c_vector_ops s.Zeus.Sim.c_vector_lanes
                 s.Zeus.Sim.c_visits_per_cycle s.Zeus.Sim.c_check_ops
-                s.Zeus.Sim.c_discharged_ops;
-              Fmt.pr "compile time: %.3fs@." s.Zeus.Sim.c_compile_secs)
+                s.Zeus.Sim.c_discharged_ops)
         end;
         List.iter
           (fun (e : Zeus.Sim.runtime_error) ->
@@ -580,7 +554,7 @@ let sim_cmd =
     (Cmd.info "sim" ~doc:"Simulate a design for N cycles.")
     Term.(
       const run $ file_arg $ cycles $ pokes $ peeks $ do_reset $ trace $ wave
-      $ explain $ activity $ vcd_out $ engine $ jobs $ grain $ stats
+      $ explain $ activity $ vcd_out $ engine $ jobs $ stats
       $ optimize $ discharge $ batch_file $ lanes)
 
 let lint_cmd =
@@ -890,22 +864,6 @@ let tree_cmd =
   Cmd.v
     (Cmd.info "tree"
        ~doc:"Instance hierarchy with port widths (> IN, < OUT, = INOUT).")
-    Term.(const run $ file_arg)
-
-let optimize_cmd =
-  let run file =
-    match Zeus.compile (load file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let _, report = Zeus.Optimize.run design in
-        Fmt.pr "%a@." Zeus.Optimize.pp_report report;
-        0
-  in
-  Cmd.v
-    (Cmd.info "optimize"
-       ~doc:"Constant propagation + dead-logic elimination report.")
     Term.(const run $ file_arg)
 
 let opt_cmd =
@@ -1270,6 +1228,6 @@ let () =
        (Cmd.group info
           [
             check_cmd; pp_cmd; stats_cmd; tree_cmd; lint_cmd; prove_cmd;
-            sim_cmd; layout_cmd; place_cmd; optimize_cmd; opt_cmd; dot_cmd;
+            sim_cmd; layout_cmd; place_cmd; opt_cmd; dot_cmd;
             export_cmd; fuzz_cmd; corpus_cmd;
           ]))

@@ -6,8 +6,8 @@
    input — so the transfer functions are the simulator's own evaluation
    rules lifted pointwise:
 
-   - gates use the early-firing partial evaluators (Optimize shares
-     them), with Top as "unknown input";
+   - gates use the early-firing partial evaluators, with Top as
+     "unknown input";
    - drivers case-split on the guard's abstract value (0 contributes
      NOINFL, 1 the source, a provably-undefined guard drives UNDEF);
    - multi-driven classes join producer contributions through the
@@ -83,6 +83,32 @@ type node =
 let node_inputs = function
   | Ngate (_, inputs) -> inputs
   | Ndriver (guard, source) -> source :: Option.to_list guard
+
+(* evaluate a gate over (possibly unknown) constant inputs with the
+   simulator's early-firing rules: [Some v] only when the output is
+   forced under all inputs (an AND with one constant-0 input is 0) *)
+let eval_gate_const op (vals : Logic.t option list) =
+  match (op : Netlist.gate_op) with
+  | Netlist.Gand -> Logic.and_partial vals
+  | Netlist.Gor -> Logic.or_partial vals
+  | Netlist.Gnand -> Logic.nand_partial vals
+  | Netlist.Gnor -> Logic.nor_partial vals
+  | Netlist.Gxor -> Logic.xor_partial vals
+  | Netlist.Gnot -> (
+      match vals with
+      | [ v ] -> Option.map Logic.not_ v
+      | _ -> None)
+  | Netlist.Gequal ->
+      Logic.map_all
+        (fun vs ->
+          let n = List.length vs / 2 in
+          let a = List.filteri (fun i _ -> i < n) vs
+          and b = List.filteri (fun i _ -> i >= n) vs in
+          List.fold_left2
+            (fun acc x y -> Logic.and2 acc (Logic.equal2 x y))
+            Logic.One a b)
+        vals
+  | Netlist.Grandom -> None
 
 let analyze (design : Elaborate.design) =
   let nl = design.Elaborate.netlist in
@@ -194,7 +220,7 @@ let analyze (design : Elaborate.design) =
         let opt =
           List.map (function Const v -> Some v | Bot | Top -> None) avs
         in
-        (match Optimize.eval_gate_const op opt with
+        (match eval_gate_const op opt with
         | Some v -> Const v
         | None -> if List.mem Bot avs then Bot else Top)
     | Ndriver (guard, source) -> (
@@ -347,6 +373,7 @@ let analyze (design : Elaborate.design) =
 
 let value_of_net t id = t.value.(t.canon.(id))
 let classification_of_net t id = t.cls.(t.canon.(id))
+let observable_net t id = t.observable.(t.canon.(id))
 
 let counts t =
   let c0 = ref 0 and c1 = ref 0 and cx = ref 0 and cz = ref 0 and cv = ref 0 in

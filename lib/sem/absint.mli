@@ -79,6 +79,10 @@ val value_of_net : t -> int -> av
 
 val classification_of_net : t -> int -> classification
 
+(** Whether an original net id's class reaches a register input or a
+    root OUT/INOUT pin. *)
+val observable_net : t -> int -> bool
+
 (** [counts t] is [(const0, const1, stuckx, stuckz, varying)]. *)
 val counts : t -> int * int * int * int * int
 

@@ -12,9 +12,9 @@
     - an {b UNDEF-reachability} dataflow pass (Z201/Z202) over the
       four-valued algebra, flagging nets that can only ever read
       UNDEF;
-    - a {b dead-hardware} pass (Z301/Z302) for statically-false branch
-      guards surviving constant evaluation and instances whose
-      outputs reach no register or output port. *)
+    - a {b dead-hardware} pass (Z301/Z302) for branch guards that
+      {!Absint} proves constant 0 and instances whose outputs reach no
+      register or output port (by {!Absint}'s observability). *)
 
 (** Boolean formulas over integer-identified variables.  [Bvar] is a
     free variable (a witness assigning only free variables is
@@ -81,6 +81,9 @@ type report = {
   verdicts : net_verdict list;  (** every multi-driven class, by net id *)
   findings : Zeus_base.Diag.t list;
   splits : int;  (** total case splits spent by the solver *)
+  absint : Absint.t;
+      (** the one {!Absint.analyze} result behind the Z3xx and Z5xx
+          findings, shared with {!Seqprove} for liveness *)
 }
 
 val default_budget : int

@@ -279,8 +279,8 @@ let drivers_by_target t =
     t.drivers;
   Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
 
-(* a shallow variant of [t] with replaced gate/driver lists — used by
-   the optimizer; nets, aliases and instances are shared *)
+(* a shallow variant of [t] with replaced gate/driver lists; nets,
+   aliases and instances are shared *)
 let with_nodes t ~gates ~drivers =
   {
     t with

@@ -120,6 +120,7 @@ type ctx = {
   st : Lint.expander;
   conds : (int, Lint.bexp array) Hashtbl.t; (* NRC class -> drive conds *)
   verdict_of : (int, Lint.classification) Hashtbl.t;
+  absint : Absint.t; (* liveness, from the lint report *)
   mutable fresh : int; (* per-occurrence renamed variables *)
 }
 
@@ -222,6 +223,7 @@ let make_ctx (design : Elaborate.design) (lintrep : Lint.report) =
     st;
     conds;
     verdict_of;
+    absint = lintrep.Lint.absint;
     fresh = -1_000_000;
   }
 
@@ -531,10 +533,10 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
     cycle_masks ctx ~rset_mask:Lint.m_zero ~reg_masks:stripped
       ~exclusive:exclusive'
   in
-  let live = Optimize.observable ctx.design in
   for c = 0 to ctx.n - 1 do
     if
-      ctx.is_canon.(c) && live.(c)
+      ctx.is_canon.(c)
+      && Absint.observable_net ctx.absint c
       && (not (Hashtbl.mem ctx.reg_ix_of_out c))
       && (not ctx.is_input.(c))
       && Lint.booleanize_mask sets.(c) land Lint.m_undef <> 0

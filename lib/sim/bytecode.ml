@@ -129,7 +129,6 @@ type prog = {
   vector_lanes : int; (* classes covered by vector ops *)
   check_ops : int; (* conflict-check sites kept (classes) *)
   discharged_ops : int; (* conflict-check sites statically discharged *)
-  compile_secs : float;
 }
 
 (* ------------------------------------------------------------------ *)

@@ -129,7 +129,6 @@ type prog = {
       (** per-cycle conflict-check sites kept, counted in classes *)
   discharged_ops : int;
       (** conflict-check sites the sequential prover discharged *)
-  compile_secs : float;
 }
 
 (** {1 Packed state} *)

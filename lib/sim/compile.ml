@@ -54,7 +54,6 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
     Bytecode.prog option =
   if not sched.Sched.acyclic then None
   else begin
-    let t0 = Sys.time () in
     let n = g.Graph.n_classes in
     let n_nodes = Array.length g.Graph.nodes in
     let kbool c = g.Graph.class_kind.(c) = Etype.KBool in
@@ -426,6 +425,5 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
         vector_lanes = !lanes;
         check_ops = !checks;
         discharged_ops = !disch;
-        compile_secs = Sys.time () -. t0;
       }
   end

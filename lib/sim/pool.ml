@@ -1,8 +1,9 @@
-(* A reusable domain pool for the parallel simulation engine.
+(* A reusable domain pool for the batch simulation engine
+   ({!Sim.run_batch}).
 
    OCaml 5 caps the number of domains that can ever exist concurrently
-   (~128), so the simulator must not spawn domains per run — a fuzz
-   session creates thousands of simulators.  One process-wide pool is
+   (~128), so the simulator must not spawn domains per batch — a fuzz
+   session runs thousands of them.  One process-wide pool is
    created lazily, grows to the largest [jobs] ever requested, and is
    shut down from [at_exit].
 

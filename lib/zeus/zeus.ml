@@ -25,7 +25,6 @@ module Netlist = Zeus_sem.Netlist
 module Elaborate = Zeus_sem.Elaborate
 module Check = Zeus_sem.Check
 module Stats = Zeus_sem.Stats
-module Optimize = Zeus_sem.Optimize
 module Absint = Zeus_sem.Absint
 module Reduce = Zeus_sem.Reduce
 module Lint = Zeus_sem.Lint
@@ -36,10 +35,6 @@ module Layout_ir = Zeus_sem.Layout_ir
 module Graph = Zeus_sim.Graph
 module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
-module Fixpoint = Zeus_sim.Fixpoint
-module Switchlevel = Zeus_sim.Switchlevel
-module Incremental = Zeus_sim.Incremental
-module Parallel = Zeus_sim.Parallel
 module Prand = Zeus_sim.Prand
 module Bytecode = Zeus_sim.Bytecode
 module Compile = Zeus_sim.Compile

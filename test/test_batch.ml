@@ -83,7 +83,7 @@ let prop_batch_identity =
           ||
           let runs = runs_of_stim stim in
           let refs = List.map (serial_run design) runs in
-          let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+          let tmpl = Sim.create ~engine:Sim.Compiled design in
           List.for_all
             (fun jobs ->
               List.for_all
@@ -142,7 +142,7 @@ let test_corpus_agreement () =
       | Error _ -> Alcotest.failf "%s: did not compile" name
       | Ok design ->
           let refs = List.map (serial_run design) corpus_runs in
-          let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+          let tmpl = Sim.create ~engine:Sim.Compiled design in
           let results, _ =
             Sim.run_batch ~jobs:4 ~lanes:8 ~snapshots:true tmpl corpus_runs
           in
@@ -172,7 +172,7 @@ let test_batch_stats () =
   (* 5 runs of 6 cycles then 1 of 3: lanes=4 gives groups 4+1 and the
      odd-length run still lane-packs (a group of one) *)
   let runs = [ mk 6; mk 6; mk 6; mk 6; mk 6; mk 3 ] in
-  let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+  let tmpl = Sim.create ~engine:Sim.Compiled design in
   let _, st = Sim.run_batch ~jobs:1 ~lanes:4 tmpl runs in
   Alcotest.(check int) "runs" 6 st.Sim.bs_runs;
   Alcotest.(check int) "jobs" 1 st.Sim.bs_jobs;
@@ -182,7 +182,7 @@ let test_batch_stats () =
   Alcotest.(check int) "serial runs" 0 st.Sim.bs_serial_runs;
   Alcotest.(check int) "cycles" 33 st.Sim.bs_cycles;
   (* same runs, incremental template: no lane path at all *)
-  let tmpl_inc = Sim.create ~engine:Sim.Incremental ~jobs:1 design in
+  let tmpl_inc = Sim.create ~engine:Sim.Incremental design in
   let _, st = Sim.run_batch ~jobs:1 ~lanes:4 tmpl_inc runs in
   Alcotest.(check int) "fallback lane runs" 0 st.Sim.bs_lane_runs;
   Alcotest.(check int) "fallback serial runs" 6 st.Sim.bs_serial_runs;
@@ -216,7 +216,7 @@ let test_batch_watch () =
     Sim.step sim;
     Sim.peek sim "adder.s"
   in
-  let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+  let tmpl = Sim.create ~engine:Sim.Compiled design in
   let results, _ =
     Sim.run_batch ~jobs:1 ~lanes:8 tmpl [ mk 1; mk 5; mk 9 ]
   in

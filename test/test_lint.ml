@@ -146,6 +146,23 @@ let test_dead_branch () =
   in
   Alcotest.(check bool) "Z301" true (has_code report Diag.Code.dead_branch)
 
+(* A guard only the register widening proves constant: t0 powers up 1
+   and can only ever latch 1 again, so the NOT t0.out arm never fires.
+   Z301 and Z501 come from the one Absint analysis, so the report that
+   calls s.o0 constant 1 also flags the dead arm. *)
+let test_dead_branch_register_widening () =
+  let report =
+    lint
+      "TYPE fzt = COMPONENT (IN x0,x1,x2: boolean; OUT o0,o1: boolean) IS \
+       SIGNAL t0: REG(1);\n\
+       BEGIN IF t0.out THEN t0.in := 1 END; IF NOT t0.out THEN t0.in := \
+       EQUAL(NOR(x1,1),x2) END; o0 := t0.out; o1 := t0.out END;\n\
+       SIGNAL s: fzt;"
+  in
+  Alcotest.(check bool) "Z501" true
+    (has_code report Diag.Code.absint_constant);
+  Alcotest.(check bool) "Z301" true (has_code report Diag.Code.dead_branch)
+
 let test_dead_instance () =
   let report =
     lint
@@ -361,6 +378,8 @@ let () =
       ( "dead",
         [
           Alcotest.test_case "dead branch" `Quick test_dead_branch;
+          Alcotest.test_case "dead branch under register widening" `Quick
+            test_dead_branch_register_widening;
           Alcotest.test_case "dead instance" `Quick test_dead_instance;
           Alcotest.test_case "corpus live" `Quick
             test_live_instances_not_flagged;

@@ -1,6 +1,7 @@
-(* The optimizer: constant propagation and dead-logic elimination must
+(* The constant analysis (Absint) and the proof-carrying reduction
+   built on it (Reduce): folding and dead-logic elimination must
    preserve observable behaviour exactly — checked by differential
-   simulation on the corpus and on random circuits. *)
+   simulation on the corpus. *)
 
 open Zeus
 
@@ -19,11 +20,11 @@ let test_constant_folding () =
       "TYPE t = COMPONENT (IN x: boolean; OUT y: boolean) IS SIGNAL one: \
        boolean; BEGIN one := 1; y := AND(x,OR(one,x)) END;\nSIGNAL s: t;"
   in
-  let opt, report = Optimize.run d in
+  let r = Reduce.run d in
+  let opt = r.Reduce.design and st = r.Reduce.stats in
   Alcotest.(check bool) "gates reduced" true
-    (report.Optimize.gates_after < report.Optimize.gates_before);
-  Alcotest.(check bool) "constants found" true
-    (report.Optimize.constants_found > 0);
+    (st.Reduce.gates_after < st.Reduce.gates_before);
+  Alcotest.(check bool) "constants found" true (st.Reduce.const1 > 0);
   (* behaviour unchanged *)
   let run design v =
     let sim = Sim.create design in
@@ -44,9 +45,9 @@ let test_dead_removal () =
       "TYPE t = COMPONENT (IN x: boolean; OUT y: boolean) IS SIGNAL u: \
        boolean; BEGIN u := NOT x; * := u; y := x END;\nSIGNAL s: t;"
   in
-  let _, report = Optimize.run d in
+  let st = (Reduce.run d).Reduce.stats in
   Alcotest.(check bool) "dead NOT removed" true
-    (report.Optimize.gates_after < report.Optimize.gates_before)
+    (st.Reduce.gates_after < st.Reduce.gates_before)
 
 let test_guard_folding () =
   (* IF 1 THEN m := x END : the guard folds to an unconditional drive *)
@@ -57,8 +58,7 @@ let test_guard_folding () =
        boolean; m: multiplex; BEGIN g := on; IF g THEN m := x END; y := m \
        END;\nSIGNAL s: t;"
   in
-  let opt, _ = Optimize.run d in
-  let sim = Sim.create opt in
+  let sim = Sim.create (Reduce.run d).Reduce.design in
   Sim.poke_bool sim "s.x" true;
   Sim.step sim;
   Alcotest.(check char) "folded guard still drives" '1'
@@ -95,69 +95,30 @@ let inputs_of design =
           i.Netlist.iports)
     (Netlist.instances nl)
 
-let equivalent ?(cycles = 4) design =
-  let opt, _ = Optimize.run design in
-  let ins = inputs_of design and outs = outputs_of design in
-  let rng = Random.State.make [| 1234 |] in
-  let ok = ref true in
-  for _trial = 1 to 5 do
-    let s1 = Sim.create design and s2 = Sim.create opt in
-    Sim.reset s1;
-    Sim.reset s2;
-    for _c = 1 to cycles do
-      let vec =
-        List.map
-          (fun _ -> if Random.State.bool rng then Logic.One else Logic.Zero)
-          ins
-      in
-      Sim.poke_nets s1 ins vec;
-      Sim.poke_nets s2 ins vec;
-      Sim.step s1;
-      Sim.step s2;
-      if Sim.peek_nets s1 outs <> Sim.peek_nets s2 outs then ok := false
-    done;
-    (* register state must agree as well *)
-    if Sim.reg_states s1 <> Sim.reg_states s2 then ok := false
-  done;
-  !ok
-
-let test_equivalence_corpus () =
-  List.iter
-    (fun (name, src) ->
-      let d = compile src in
-      Alcotest.(check bool)
-        (name ^ " optimized design equivalent")
-        true (equivalent d))
-    [
-      ("adder4", Corpus.adder4);
-      ("blackjack", Corpus.blackjack);
-      ("patternmatch3", Corpus.patternmatch 3);
-      ("am2901", Corpus.am2901);
-      ("counter8", Corpus_fsm.counter 8);
-      ("lfsr4", Corpus_fsm.lfsr4);
-    ]
-
 let test_reduction_on_blackjack () =
   (* blackjack contains dead logic (the unused plus/minus carry-out), so
      the optimizer must strictly shrink it *)
   let d = compile Corpus.blackjack in
-  let _, r = Optimize.run d in
+  let st = (Reduce.run d).Reduce.stats in
   Alcotest.(check bool)
-    (Fmt.str "shrinks (%a)" Optimize.pp_report r)
+    (Fmt.str "shrinks (%a)" Reduce.pp_stats st)
     true
-    (r.Optimize.gates_after < r.Optimize.gates_before)
+    (st.Reduce.gates_after < st.Reduce.gates_before)
 
-(* ---- known_constants edge cases ---- *)
+(* ---- constant edge cases, on Absint.value_of_net ---- *)
 
 let known_of design name =
   let nl = design.Elaborate.netlist in
-  let known = Optimize.known_constants design in
+  let ai = Absint.analyze design in
   let found = ref None in
   Array.iteri
     (fun i (n : Netlist.net) -> if n.Netlist.name = name then found := Some i)
     (Netlist.nets_array nl);
   match !found with
-  | Some i -> Option.map Logic.to_char known.(Netlist.canonical nl i)
+  | Some i -> (
+      match Absint.value_of_net ai i with
+      | Absint.Const v -> Some (Logic.to_char v)
+      | Absint.Bot | Absint.Top -> None)
   | None -> Alcotest.failf "net %s not in the netlist" name
 
 let test_noinfl_only_net () =
@@ -202,15 +163,16 @@ let test_alias_class_constants () =
   Alcotest.(check (option char)) "alias of a constant is constant" (Some '1')
     (known_of d "s.b");
   (* two always-firing constant drivers landing on one merged class:
-     the class has two producers, so it stays conservatively unknown
-     even though the drivers agree *)
+     two driving values are a drive conflict even when they agree, so
+     the class is UNDEF every cycle — what the runtime check resolves *)
   let d2 =
     compile
       "TYPE t = COMPONENT (IN x: boolean; OUT y: boolean) IS SIGNAL g: \
        boolean; a, b: multiplex; BEGIN g := 1; a == b; IF g THEN a := 1 \
        END; IF g THEN b := 1 END; y := AND(x, a) END;\nSIGNAL s: t;"
   in
-  Alcotest.(check (option char)) "two agreeing constants stay unknown" None
+  Alcotest.(check (option char)) "two agreeing constants conflict"
+    (Some (Logic.to_char Logic.Undef))
     (known_of d2 "s.a")
 
 (* ---- abstract interpretation (Absint) + reduction (Reduce) ---- *)
@@ -377,18 +339,6 @@ let test_reduce_equivalence_corpus () =
       done)
     (Corpus.all_named @ Corpus_fsm.all_named)
 
-let test_reduce_matches_legacy_on_blackjack () =
-  (* the proof-carrying pass subsumes the legacy Optimize constants:
-     everything Optimize folded, Reduce folds too *)
-  let d = compile Corpus.blackjack in
-  let _, legacy = Optimize.run d in
-  let r = Reduce.run d in
-  Alcotest.(check bool)
-    (Fmt.str "folds at least the legacy constants (%a)" Reduce.pp_stats
-       r.Reduce.stats)
-    true
-    (r.Reduce.stats.Reduce.consts_folded >= legacy.Optimize.constants_found)
-
 let () =
   Alcotest.run "optimize"
     [
@@ -408,7 +358,6 @@ let () =
         ] );
       ( "equivalence",
         [
-          Alcotest.test_case "corpus" `Quick test_equivalence_corpus;
           Alcotest.test_case "blackjack shrinks" `Quick
             test_reduction_on_blackjack;
         ] );
@@ -429,7 +378,5 @@ let () =
             test_reduce_guard0_keeps_producer;
           Alcotest.test_case "corpus equivalence" `Quick
             test_reduce_equivalence_corpus;
-          Alcotest.test_case "subsumes legacy constants" `Quick
-            test_reduce_matches_legacy_on_blackjack;
         ] );
     ]
