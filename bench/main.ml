@@ -331,7 +331,7 @@ let e8_simcmp () =
         List.length (Netlist.gates d.Elaborate.netlist)
         + List.length (Netlist.drivers d.Elaborate.netlist)
       in
-      let depth = (Stats.of_netlist d.Elaborate.netlist).Stats.depth in
+      let depth = (Stats.of_design d).Stats.depth in
       let f = visits_of Sim.Firing d pokes
       and fs = visits_of Sim.Firing_strict d pokes
       and fx = visits_of Sim.Fixpoint d pokes
@@ -926,7 +926,7 @@ let e16_opt ~cycles () =
     let agree = ref true in
     Array.iter
       (fun root ->
-        if ai.Absint.observable.(ai.Absint.canon.(root)) then begin
+        if Absint.observable_net ai root then begin
           let slot2 = g2.Graph.rep.(g2.Graph.canon.(root)) in
           if s1.(root) <> s2.(slot2) then agree := false
         end)

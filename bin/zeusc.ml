@@ -170,7 +170,7 @@ let stats_cmd =
     match Zeus.compile (load file) with
     | Ok design ->
         let nl = design.Zeus.Elaborate.netlist in
-        Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_netlist nl);
+        Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_design design);
         List.iter
           (fun (i : Zeus.Netlist.instance) ->
             if not i.Zeus.Netlist.is_function_call then

@@ -25,7 +25,6 @@
 
 open Zeus_base
 open Zeus_sem
-module Graph = Zeus_sim.Graph
 module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
 module Prand = Zeus_sim.Prand
@@ -219,7 +218,7 @@ let export ?module_name (design : Elaborate.design) =
         raise (Unsupported_exn "the predefined CLK net is driven");
       (* input ports: producer-less IN/INOUT pins of root instances
          (plus RSET), named after the first pin net of each class *)
-      let top_inputs = Check.top_input_nets design in
+      let top_inputs = Graph.top_input_nets design in
       let in_path = Array.make n None in
       let is_input = Array.make n false in
       List.iter

@@ -72,7 +72,7 @@ type t = {
   reg_count : int;
   text : string;  (** the emitted module *)
   design : Elaborate.design;
-  graph : Zeus_sim.Graph.t;
+  graph : Zeus_sem.Graph.t;
   wire_of_class : string array;  (** class id -> wire/port identifier *)
   clk_port : string;
   random_ports : (int * string) list;  (** RANDOM class -> port name *)

@@ -98,7 +98,6 @@ open Zeus_base
 open Zeus_lang
 open Zeus_sem
 module Sim = Zeus_sim.Sim
-module Graph = Zeus_sim.Graph
 
 type divergence = {
   oracle : string; (* which row of the matrix failed *)
@@ -411,7 +410,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           | None -> ()
           | Some r ->
               let ai = r.Reduce.ai in
-              let g1 = Graph.build design in
+              let g1 = ai.Absint.graph in
               let g2 = Graph.build r.Reduce.design in
               (* Snapshots are indexed by original net id, holding each
                  class's value at its union-find root slot.  Per
@@ -420,11 +419,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                  class's root slot in the reduced one — looked up
                  through net ids, so the two compactions never need to
                  agree on class numbering. *)
-              let obs =
-                Array.map
-                  (fun root -> ai.Absint.observable.(ai.Absint.canon.(root)))
-                  g1.Graph.rep
-              in
+              let obs = ai.Absint.observable in
               let opt_slot =
                 Array.map
                   (fun root -> g2.Graph.rep.(g2.Graph.canon.(root)))
@@ -464,7 +459,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               (* the table itself must be honest on the reference run *)
               Array.iteri
                 (fun c root ->
-                  let cls = ai.Absint.cls.(ai.Absint.canon.(root)) in
+                  let cls = Absint.classification_of_net ai root in
                   let want =
                     match cls with
                     | Absint.Const0 -> Some Logic.Zero
@@ -474,7 +469,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   match want with
                   | Some w
                     when obs.(c)
-                         && ai.Absint.producers.(ai.Absint.canon.(root)) > 0 ->
+                         && ai.Absint.graph.Graph.producer_count.(c) > 0 ->
                       List.iteri
                         (fun i snap ->
                           if snap.(root) <> Some w then
@@ -509,11 +504,11 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           (* O4: a statically-proved-safe net must never conflict at
              runtime — under lint's environment assumption that inputs
              are defined *)
-          let nl = design.Elaborate.netlist in
           let input_names =
+            let g = Graph.build design in
             List.map
-              (fun id -> (Netlist.net nl (Netlist.canonical nl id)).Netlist.name)
-              (Check.top_input_nets design)
+              (fun id -> g.Graph.names.(g.Graph.canon.(id)))
+              (Graph.top_input_nets design)
           in
           let defined v = v = Logic.Zero || v = Logic.One in
           let env_defined =

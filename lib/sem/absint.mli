@@ -10,11 +10,9 @@
     vary; [Bot] is the unreached initial state (it survives only inside
     combinational cycles, which the static checks reject anyway).
 
-    The interpreter mirrors the simulator's semantics graph: the alias
-    union-find is resolved once into dense class ids (the same compaction
-    as [Zeus_sim.Graph.build]), producers and consumers are stored as CSR
-    adjacency, and a worklist runs the monotone transfer functions to a
-    fixpoint:
+    The interpreter runs over the design's {!Graph} — the same dense
+    class ids and CSR producer/consumer lists the simulator uses — and
+    a worklist runs the monotone transfer functions to a fixpoint:
 
     - gates evaluate with the simulator's early-firing partial
       evaluators (an AND with a constant-0 input is 0 no matter what);
@@ -58,16 +56,11 @@ type classification =
 val classification_to_string : classification -> string
 
 type t = {
-  n_classes : int;
-  canon : int array;  (** original net id -> dense class id *)
-  rep : int array;  (** class id -> representative original net id *)
+  graph : Graph.t;  (** the class graph the arrays below are indexed by *)
   value : av array;  (** per class: the fixpoint abstract value *)
   cls : classification array;  (** per class *)
   observable : bool array;
       (** per class: reaches a register input or a root OUT/INOUT pin *)
-  input_class : bool array;  (** testbench-pokeable (never constant) *)
-  reg_out_class : bool array;  (** sequential state (never folded) *)
-  producers : int array;  (** gate + driver count per class *)
   steps : int;  (** worklist class evaluations until the fixpoint *)
 }
 

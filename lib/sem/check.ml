@@ -13,73 +13,52 @@
 
 open Zeus_base
 
-type class_info = {
-  mutable members : int list;
-  mutable uncond : Netlist.driver list;
-  mutable cond : Netlist.driver list;
-}
+(* The classes that depend on class [v] (REG breaks the cycle: no edge
+   from a register output to its input), in a fixed walk order: through
+   gate consumers, then driver consumers, each newest first.  The order
+   decides which cycle and which order violation get reported, and the
+   cram goldens pin it.  A node reading its own output adds no edge. *)
+let iter_dependents (g : Graph.t) v f =
+  let n_gates = Array.length g.Graph.gates in
+  for pass = 0 to 1 do
+    for k = g.Graph.cons_off.(v + 1) - 1 downto g.Graph.cons_off.(v) do
+      let node = g.Graph.cons_nodes.(k) in
+      if (node < n_gates) = (pass = 0) then begin
+        let w = Graph.node_output g.Graph.nodes.(node) in
+        if w <> v then f w
+      end
+    done
+  done
 
-let class_table nl =
-  let tbl = Hashtbl.create 64 in
-  let info key =
-    match Hashtbl.find_opt tbl key with
-    | Some i -> i
-    | None ->
-        let i = { members = []; uncond = []; cond = [] } in
-        Hashtbl.add tbl key i;
-        i
-  in
-  let n = Netlist.net_count nl in
-  for id = 0 to n - 1 do
-    let i = info (Netlist.canonical nl id) in
-    i.members <- id :: i.members
-  done;
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let i = info (Netlist.canonical nl d.Netlist.target) in
-      match d.Netlist.guard with
-      | None -> i.uncond <- d :: i.uncond
-      | Some _ -> i.cond <- d :: i.cond)
-    (Netlist.drivers nl);
-  tbl
-
-(* Dependency edges between canonical nets: src -> dst means the value of
-   dst needs src.  REG breaks the cycle (no edge rout -> rin). *)
-let dependency_graph nl =
-  let n = Netlist.net_count nl in
-  let adj = Array.make n [] in
-  let add_edge src dst =
-    match src with
-    | Netlist.Sconst _ -> ()
-    | Netlist.Snet s ->
-        let s = Netlist.canonical nl s and d = Netlist.canonical nl dst in
-        if s <> d then adj.(s) <- d :: adj.(s)
-  in
-  List.iter
-    (fun (d : Netlist.driver) ->
-      add_edge d.Netlist.source d.Netlist.target;
-      Option.iter (fun g -> add_edge g d.Netlist.target) d.Netlist.guard)
-    (Netlist.drivers nl);
-  List.iter
-    (fun (g : Netlist.gate) ->
-      List.iter (fun i -> add_edge i g.Netlist.output) g.Netlist.inputs)
-    (Netlist.gates nl);
-  adj
+(* a class's drivers, newest first, split into unconditional and
+   conditional ones *)
+let class_drivers (g : Graph.t) c =
+  let n_gates = Array.length g.Graph.gates in
+  let uncond = ref [] and cond = ref [] in
+  Graph.iter_producers g c (fun node ->
+      if node >= n_gates then begin
+        let d = g.Graph.drivers.(node - n_gates) in
+        match d.Netlist.guard with
+        | None -> uncond := d :: !uncond
+        | Some _ -> cond := d :: !cond
+      end);
+  (!uncond, !cond)
 
 (* --------------------------------------------------------------- *)
 
-let check_assignment_discipline bag nl tbl =
-  Hashtbl.iter
-    (fun _key (i : class_info) ->
+let check_assignment_discipline bag (g : Graph.t) =
+  let nl = g.Graph.nl in
+  Graph.iter_roots g (fun c ->
+      let uncond, cond = class_drivers g c in
       let name id = (Netlist.net nl id).Netlist.name in
-      (match i.uncond with
+      (match uncond with
       | d1 :: d2 :: _ ->
           Diag.Bag.error bag Diag.Assign_error d2.Netlist.dloc
             "'%s' is unconditionally assigned more than once (also at %a) — \
              this could connect power to ground"
             (name d1.Netlist.target) Loc.pp d1.Netlist.dloc
       | _ -> ());
-      (match (i.uncond, i.cond) with
+      (match (uncond, cond) with
       | d :: _, c :: _ ->
           Diag.Bag.error bag Diag.Assign_error c.Netlist.dloc
             "'%s' is assigned both conditionally and unconditionally \
@@ -87,7 +66,7 @@ let check_assignment_discipline bag nl tbl =
             (name d.Netlist.target) Loc.pp d.Netlist.dloc
       | _ -> ());
       (* boolean aliased with '==' must not also get an unconditional ':=' *)
-      if List.length i.members > 1 then
+      if Graph.member_count g c > 1 then
         List.iter
           (fun (d : Netlist.driver) ->
             let net = Netlist.net nl d.Netlist.target in
@@ -96,13 +75,12 @@ let check_assignment_discipline bag nl tbl =
                 "boolean '%s' is aliased with '==' and also unconditionally \
                  assigned with ':='"
                 net.Netlist.name)
-          i.uncond)
-    tbl
+          uncond)
 
-let check_cycles bag nl adj =
+let check_cycles bag (g : Graph.t) =
   (* iterative DFS with colouring; report one representative cycle per
      strongly connected region we stumble into *)
-  let n = Array.length adj in
+  let n = g.Graph.n_classes in
   let colour = Array.make n 0 in
   (* 0 white, 1 grey, 2 black *)
   let parent = Array.make n (-1) in
@@ -115,31 +93,26 @@ let check_cycles bag nl adj =
         if x = u || x = -1 then x :: acc else collect (x :: acc) parent.(x)
       in
       let path = collect [] v in
-      let names =
-        List.map (fun id -> (Netlist.net nl id).Netlist.name) (u :: List.tl path)
-      in
-      Diag.Bag.error bag Diag.Cycle_error (Netlist.net nl u).Netlist.loc
+      let names = List.map (fun c -> g.Graph.names.(c)) (u :: List.tl path) in
+      Diag.Bag.error bag Diag.Cycle_error
+        (Netlist.net g.Graph.nl g.Graph.rep.(u)).Netlist.loc
         "combinational feedback loop (no REG on the path): %s"
         (String.concat " -> " (names @ [ List.hd names ]))
     end
   in
   let rec dfs v =
     colour.(v) <- 1;
-    List.iter
-      (fun w ->
+    iter_dependents g v (fun w ->
         if colour.(w) = 0 then begin
           parent.(w) <- v;
           dfs w
         end
-        else if colour.(w) = 1 then report_cycle v w)
-      adj.(v);
+        else if colour.(w) = 1 then report_cycle v w);
     colour.(v) <- 2
   in
-  for v = 0 to n - 1 do
-    if colour.(v) = 0 && Netlist.canonical nl v = v then dfs v
-  done
+  Graph.iter_roots g (fun v -> if colour.(v) = 0 then dfs v)
 
-let check_unused_ports bag nl _tbl =
+let check_unused_ports bag nl =
   (* "used or assigned" means used by the *surrounding* component: only
      touches from a scope other than the instance itself count (the
      instance's own body always reads its IN and drives its OUT pins) *)
@@ -168,110 +141,76 @@ let check_unused_ports bag nl _tbl =
       end)
     (Netlist.instances nl)
 
-let check_order_constraints bag nl adj =
-  let n = Array.length adj in
+let check_order_constraints bag (g : Graph.t) =
+  let n = g.Graph.n_classes in
   List.iter
     (fun (loc, before, after) ->
       (* the declared order says [before] executes first; it is wrong if
          something written by [after] is needed (transitively) by
          [before] *)
       let target = Array.make n false in
-      List.iter (fun id -> target.(Netlist.canonical nl id) <- true) before;
+      List.iter (fun id -> target.(g.Graph.canon.(id)) <- true) before;
       let visited = Array.make n false in
       let bad = ref None in
       let rec dfs v =
         if not visited.(v) && !bad = None then begin
           visited.(v) <- true;
-          if target.(v) then bad := Some v
-          else List.iter dfs adj.(v)
+          if target.(v) then bad := Some v else iter_dependents g v dfs
         end
       in
       List.iter
         (fun id ->
-          let c = Netlist.canonical nl id in
-          if target.(c) then () else List.iter dfs adj.(c))
+          let c = g.Graph.canon.(id) in
+          if target.(c) then () else iter_dependents g c dfs)
         after;
       match !bad with
       | Some v ->
           Diag.Bag.error bag Diag.Order_error loc
             "SEQUENTIAL order is incompatible with the dataflow: '%s' is \
              computed from a later statement's result"
-            (Netlist.net nl v).Netlist.name
+            g.Graph.names.(v)
       | None -> ())
-    (Netlist.order_constraints nl)
+    (Netlist.order_constraints g.Graph.nl)
 
-let check_undriven bag nl tbl ~top_inputs =
-  let reg_outs = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) ->
-      Hashtbl.replace reg_outs (Netlist.canonical nl r.Netlist.rout) ())
-    (Netlist.regs nl);
-  (* gate outputs are produced by their gate, not by drivers *)
-  List.iter
-    (fun (g : Netlist.gate) ->
-      Hashtbl.replace reg_outs (Netlist.canonical nl g.Netlist.output) ())
-    (Netlist.gates nl);
-  let inputs = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace inputs (Netlist.canonical nl id) ()) top_inputs;
-  Hashtbl.iter
-    (fun key (i : class_info) ->
+let check_undriven bag (g : Graph.t) =
+  let nl = g.Graph.nl in
+  Graph.iter_roots g (fun c ->
+      (* gate outputs are produced by their gate, register outputs by
+         their register *)
       if
-        i.uncond = [] && i.cond = []
-        && (not (Hashtbl.mem reg_outs key))
-        && not (Hashtbl.mem inputs key)
-      then
-        let read_members =
-          List.filter
-            (fun id -> (Netlist.net nl id).Netlist.reads > 0)
-            i.members
-        in
-        (* prefer a member with a real source location to report at *)
-        let located =
-          List.filter
-            (fun id -> not (Loc.is_dummy (Netlist.net nl id).Netlist.loc))
-            read_members
-        in
-        match (located, read_members) with
-        | id :: _, _ | [], id :: _ ->
+        g.Graph.producer_count.(c) = 0
+        && (not g.Graph.reg_out_class.(c))
+        && not g.Graph.input_class.(c)
+      then begin
+        (* a read member, preferring one with a real source location
+           to report at; the highest net id wins within each tier *)
+        let located = ref None and any = ref None in
+        List.iter
+          (fun id ->
             let net = Netlist.net nl id in
+            if net.Netlist.reads > 0 then begin
+              any := Some net;
+              if not (Loc.is_dummy net.Netlist.loc) then located := Some net
+            end)
+          (Graph.members g c);
+        match (!located, !any) with
+        | Some net, _ | None, Some net ->
             Diag.Bag.warning bag ~code:Diag.Code.undriven_read
               Diag.Assign_error net.Netlist.loc
               "'%s' is read but never assigned — it reads UNDEF"
               net.Netlist.name
-        | [], [] -> ())
-    tbl
+        | None, None -> ()
+      end)
 
-(* Top-level testbench inputs: IN/INOUT pins of root instances, plus CLK
-   and RSET. *)
-let top_input_nets (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
-  let roots =
-    List.filter
-      (fun (i : Netlist.instance) ->
-        not (String.contains i.Netlist.ipath '.'))
-      (Netlist.instances nl)
-  in
-  let pins =
-    List.concat_map
-      (fun (i : Netlist.instance) ->
-        List.concat_map
-          (fun (_, m, nets) ->
-            match m with
-            | Etype.In | Etype.Inout -> nets
-            | Etype.Out -> [])
-          i.Netlist.iports)
-      roots
-  in
-  design.Elaborate.clk_net :: design.Elaborate.rset_net :: pins
+(* an alias kept only because the benchmark (perfbench/ops.ml) calls it *)
+let top_input_nets = Graph.top_input_nets
 
 let run (design : Elaborate.design) =
   let bag = design.Elaborate.diags in
-  let nl = design.Elaborate.netlist in
-  let tbl = class_table nl in
-  let adj = dependency_graph nl in
-  check_assignment_discipline bag nl tbl;
-  check_cycles bag nl adj;
-  check_unused_ports bag nl tbl;
-  check_order_constraints bag nl adj;
-  check_undriven bag nl tbl ~top_inputs:(top_input_nets design);
+  let g = Graph.build design in
+  check_assignment_discipline bag g;
+  check_cycles bag g;
+  check_unused_ports bag g.Graph.nl;
+  check_order_constraints bag g;
+  check_undriven bag g;
   not (Diag.Bag.has_errors bag)

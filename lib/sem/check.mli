@@ -9,16 +9,15 @@
       closed with ['*'];
     - SEQUENTIAL ordering must be compatible with the dataflow partial
       order;
-    - undriven-but-read nets are warned about (they read UNDEF). *)
+    - undriven-but-read nets are warned about (they read UNDEF).
 
-(** Nets a testbench may drive: CLK, RSET and the IN/INOUT pins of the
-    top-level instances. *)
+    The per-class checks run over the design's {!Graph}, in ascending
+    order of union-find root, so their diagnostics come out in a fixed
+    order. *)
+
+(** {!Graph.top_input_nets}, kept as an alias only because the
+    benchmark (perfbench/ops.ml) calls it under this name. *)
 val top_input_nets : Elaborate.design -> int list
-
-(** Dependency edges between canonical nets ([adj.(src)] lists the nets
-    whose value needs [src]); registers break cycles.  Exposed for the
-    simulator baselines and tests. *)
-val dependency_graph : Netlist.t -> int list array
 
 (** Run all checks, recording diagnostics in [design.diags].  Returns
     [true] when no errors (warnings allowed). *)

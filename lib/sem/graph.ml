@@ -16,9 +16,16 @@
    [reg_of_out]/[regs_of_in] give O(1) access from a class to the
    registers that feed or latch it (hoisted out of the per-cycle path —
    the simulator used to rebuild a hashtable of register outputs every
-   cycle). *)
+   cycle).
 
-open Zeus_sem
+   The graph is the one compacted IR of a design: the static checks,
+   lint, the abstract interpreter, the sequential prover, the reduction,
+   the simulator and the Verilog emitter all read it.  [build] keeps
+   the last graph in one ephemeron slot keyed on the design record, so
+   a command compacts its netlist once; a record rebuilt around a new
+   netlist ([Reduce.run]'s [{ design with netlist }]) is a new key, and
+   the graph never outlives its design.  Two domains racing on the slot
+   at worst build the graph twice. *)
 
 type node =
   | Ngate of {
@@ -40,11 +47,15 @@ type t = {
   canon : int array;
   rep : int array;
   nodes : node array;
+  gates : Netlist.gate array;
+  drivers : Netlist.driver array;
   cons_off : int array;
   cons_nodes : int array;
   prod_off : int array;
   prod_nodes : int array;
   producer_count : int array;
+  mem_off : int array;
+  mem_nets : int array;
   class_kind : Etype.kind array;
   net_kind : Etype.kind array;
   names : string array;
@@ -67,7 +78,38 @@ let node_output = function
   | Ngate { output; _ } -> output
   | Ndriver { target; _ } -> target
 
-let build (design : Elaborate.design) =
+(* Top-level testbench inputs: IN/INOUT pins of root instances, plus CLK
+   and RSET. *)
+let top_input_nets (design : Elaborate.design) =
+  let nl = design.Elaborate.netlist in
+  let roots =
+    List.filter
+      (fun (i : Netlist.instance) ->
+        not (String.contains i.Netlist.ipath '.'))
+      (Netlist.instances nl)
+  in
+  let pins =
+    List.concat_map
+      (fun (i : Netlist.instance) ->
+        List.concat_map
+          (fun (_, m, nets) ->
+            match m with
+            | Etype.In | Etype.Inout -> nets
+            | Etype.Out -> [])
+          i.Netlist.iports)
+      roots
+  in
+  design.Elaborate.clk_net :: design.Elaborate.rset_net :: pins
+
+(* CSR offsets from per-class counts *)
+let prefix n cnt =
+  let off = Array.make (n + 1) 0 in
+  for c = 0 to n - 1 do
+    off.(c + 1) <- off.(c) + cnt.(c)
+  done;
+  off
+
+let compact (design : Elaborate.design) =
   let nl = design.Elaborate.netlist in
   let n = Netlist.net_count nl in
   (* resolve the union-find once: original id -> dense class id *)
@@ -90,26 +132,31 @@ let build (design : Elaborate.design) =
     | Netlist.Snet id -> Netlist.Snet canon.(id)
     | Netlist.Sconst v -> Netlist.Sconst v
   in
-  (* nodes, with class ids baked in *)
-  let nodes = ref [] in
-  let n_nodes = ref 0 in
-  List.iter
-    (fun (g : Netlist.gate) ->
-      let inputs = List.map canon_src g.Netlist.inputs in
-      let output = canon.(g.Netlist.output) in
-      nodes := Ngate { op = g.Netlist.op; inputs = Array.of_list inputs; output }
-               :: !nodes;
-      incr n_nodes)
-    (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let guard = Option.map canon_src d.Netlist.guard in
-      let source = canon_src d.Netlist.source in
-      let target = canon.(d.Netlist.target) in
-      nodes := Ndriver { guard; source; target } :: !nodes;
-      incr n_nodes)
-    (Netlist.drivers nl);
-  let nodes = Array.of_list (List.rev !nodes) in
+  (* nodes, with class ids baked in: gates, then drivers *)
+  let gates = Array.of_list (Netlist.gates nl) in
+  let drivers = Array.of_list (Netlist.drivers nl) in
+  let n_gates = Array.length gates in
+  let nodes =
+    Array.init
+      (n_gates + Array.length drivers)
+      (fun i ->
+        if i < n_gates then
+          let g = gates.(i) in
+          Ngate
+            {
+              op = g.Netlist.op;
+              inputs = Array.of_list (List.map canon_src g.Netlist.inputs);
+              output = canon.(g.Netlist.output);
+            }
+        else
+          let d = drivers.(i - n_gates) in
+          Ndriver
+            {
+              guard = Option.map canon_src d.Netlist.guard;
+              source = canon_src d.Netlist.source;
+              target = canon.(d.Netlist.target);
+            })
+  in
   (* CSR adjacency: count, prefix-sum, fill *)
   let cons_cnt = Array.make n_classes 0 in
   let prod_cnt = Array.make n_classes 0 in
@@ -123,14 +170,8 @@ let build (design : Elaborate.design) =
       let out = node_output node in
       prod_cnt.(out) <- prod_cnt.(out) + 1)
     nodes;
-  let prefix cnt =
-    let off = Array.make (n_classes + 1) 0 in
-    for c = 0 to n_classes - 1 do
-      off.(c + 1) <- off.(c) + cnt.(c)
-    done;
-    off
-  in
-  let cons_off = prefix cons_cnt and prod_off = prefix prod_cnt in
+  let cons_off = prefix n_classes cons_cnt
+  and prod_off = prefix n_classes prod_cnt in
   let cons_nodes = Array.make cons_off.(n_classes) 0 in
   let prod_nodes = Array.make prod_off.(n_classes) 0 in
   let cons_fill = Array.copy cons_off and prod_fill = Array.copy prod_off in
@@ -148,8 +189,18 @@ let build (design : Elaborate.design) =
       prod_fill.(out) <- prod_fill.(out) + 1)
     nodes;
   let producer_count = prod_cnt in
-  (* per-class kind (mux if any member is mux), representative names,
-     per-original declared kind *)
+  (* members per class, ascending; per-class kind (mux if any member is
+     mux), representative names, per-original declared kind *)
+  let mem_cnt = Array.make n_classes 0 in
+  Array.iter (fun c -> mem_cnt.(c) <- mem_cnt.(c) + 1) canon;
+  let mem_off = prefix n_classes mem_cnt in
+  let mem_nets = Array.make n 0 in
+  let mem_fill = Array.copy mem_off in
+  Array.iteri
+    (fun id c ->
+      mem_nets.(mem_fill.(c)) <- id;
+      mem_fill.(c) <- mem_fill.(c) + 1)
+    canon;
   let class_kind = Array.make n_classes Etype.KBool in
   let net_kind = Array.make n Etype.KBool in
   Array.iter
@@ -176,7 +227,7 @@ let build (design : Elaborate.design) =
   let input_class = Array.make n_classes false in
   List.iter
     (fun id -> input_class.(canon.(id)) <- true)
-    (Check.top_input_nets design);
+    (top_input_nets design);
   {
     design;
     nl;
@@ -185,11 +236,15 @@ let build (design : Elaborate.design) =
     canon;
     rep;
     nodes;
+    gates;
+    drivers;
     cons_off;
     cons_nodes;
     prod_off;
     prod_nodes;
     producer_count;
+    mem_off;
+    mem_nets;
     class_kind;
     net_kind;
     names;
@@ -204,6 +259,18 @@ let build (design : Elaborate.design) =
     rset = canon.(design.Elaborate.rset_net);
   }
 
+(* the last design asked for and its graph *)
+let last : (Elaborate.design, t) Ephemeron.K1.t option Atomic.t =
+  Atomic.make None
+
+let build (design : Elaborate.design) =
+  match Option.bind (Atomic.get last) (fun e -> Ephemeron.K1.query e design) with
+  | Some g -> g
+  | None ->
+      let g = compact design in
+      Atomic.set last (Some (Ephemeron.K1.make design g));
+      g
+
 let iter_consumers g c f =
   for k = g.cons_off.(c) to g.cons_off.(c + 1) - 1 do
     f g.cons_nodes.(k)
@@ -214,4 +281,73 @@ let iter_producers g c f =
     f g.prod_nodes.(k)
   done
 
+let producer g c k = g.prod_nodes.(g.prod_off.(c) + k)
+
 let consumer_count g c = g.cons_off.(c + 1) - g.cons_off.(c)
+
+let member_count g c = g.mem_off.(c + 1) - g.mem_off.(c)
+
+let members g c =
+  List.init (member_count g c) (fun k -> g.mem_nets.(g.mem_off.(c) + k))
+
+let iter_roots g f =
+  for id = 0 to g.n_nets - 1 do
+    let c = g.canon.(id) in
+    if g.rep.(c) = id then f c
+  done
+
+(* backward closure from register inputs and root OUT/INOUT pins,
+   through producer-node inputs *)
+let observable g =
+  let obs = Array.make g.n_classes false in
+  let stack = ref [] in
+  let mark c =
+    if not obs.(c) then begin
+      obs.(c) <- true;
+      stack := c :: !stack
+    end
+  in
+  Array.iter mark g.reg_in;
+  List.iter
+    (fun (i : Netlist.instance) ->
+      if not (String.contains i.Netlist.ipath '.') then
+        List.iter
+          (fun (_, mode, nets) ->
+            match mode with
+            | Etype.Out | Etype.Inout ->
+                List.iter (fun id -> mark g.canon.(id)) nets
+            | Etype.In -> ())
+          i.Netlist.iports)
+    (Netlist.instances g.nl);
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | c :: rest ->
+        stack := rest;
+        iter_producers g c (fun node ->
+            List.iter
+              (function Netlist.Snet s -> mark s | Netlist.Sconst _ -> ())
+              (node_inputs g.nodes.(node)))
+  done;
+  obs
+
+(* longest path by memoized DFS over producer-node inputs *)
+let depths g =
+  let memo = Array.make g.n_classes (-1) in
+  let rec go c =
+    if memo.(c) >= 0 then memo.(c)
+    else begin
+      memo.(c) <- 0 (* cycle guard: designs with check errors *);
+      let d = ref 0 in
+      iter_producers g c (fun node ->
+          List.iter
+            (function
+              | Netlist.Snet s when s <> c -> d := max !d (1 + go s)
+              | Netlist.Snet _ | Netlist.Sconst _ -> ())
+            (node_inputs g.nodes.(node)));
+      memo.(c) <- !d;
+      !d
+    end
+  in
+  iter_roots g (fun c -> ignore (go c));
+  memo

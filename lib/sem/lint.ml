@@ -76,7 +76,7 @@ let classification_to_string = function
   | Needs_runtime_check -> "needs-runtime-check"
 
 type net_verdict = {
-  v_net : int; (* canonical net id *)
+  v_net : int; (* the class's union-find root *)
   v_name : string;
   v_kind : Etype.kind;
   v_producers : int;
@@ -151,15 +151,11 @@ let rec exists_var p = function
 (* ------------------------------------------------------------------ *)
 
 type expander = {
-  nl : Netlist.t;
-  gates_of : int list array; (* canonical net -> gate indices *)
-  drivers_of : int list array; (* canonical net -> driver indices *)
-  gate_arr : Netlist.gate array;
-  driver_arr : Netlist.driver array;
-  free_root : bool array; (* canonical: input / reg out / RANDOM *)
+  g : Graph.t;
+  free_root : bool array; (* per class: input / reg out / RANDOM *)
   undef_roots : (int, unit) Hashtbl.t; (* opaques that can read UNDEF *)
-  memo : (int, bexp) Hashtbl.t;
-  busy : (int, unit) Hashtbl.t;
+  memo : bexp option array; (* per class *)
+  busy : bool array; (* per class: on the expansion stack *)
   mutable nodes : int; (* formula nodes built so far (size cap) *)
   mutable fresh_opq : int; (* negative ids for constant-UNDEF leaves *)
 }
@@ -167,85 +163,61 @@ type expander = {
 (* keep formulas bounded: past this many nodes, leaves become opaque *)
 let expansion_cap = 50_000
 
-let make_expander design =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  let gate_arr = Array.of_list (Netlist.gates nl) in
-  let driver_arr = Array.of_list (Netlist.drivers nl) in
-  let gates_of = Array.make n [] in
-  Array.iteri
-    (fun i (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      gates_of.(c) <- i :: gates_of.(c))
-    gate_arr;
-  let drivers_of = Array.make n [] in
-  Array.iteri
-    (fun i (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      drivers_of.(c) <- i :: drivers_of.(c))
-    driver_arr;
-  let free_root = Array.make n false in
-  List.iter (fun id -> free_root.(canon id) <- true) (Check.top_input_nets design);
-  List.iter
-    (fun (r : Netlist.reg) -> free_root.(canon r.Netlist.rout) <- true)
-    (Netlist.regs nl);
+let make_expander (g : Graph.t) =
+  let free_root = Array.copy g.Graph.input_class in
+  Array.iter (fun c -> free_root.(c) <- true) g.Graph.reg_out;
   Array.iter
-    (fun (g : Netlist.gate) ->
-      if g.Netlist.op = Netlist.Grandom then
-        free_root.(canon g.Netlist.output) <- true)
-    gate_arr;
+    (function
+      | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
+          free_root.(output) <- true
+      | Graph.Ngate _ | Graph.Ndriver _ -> ())
+    g.Graph.nodes;
   {
-    nl;
-    gates_of;
-    drivers_of;
-    gate_arr;
-    driver_arr;
+    g;
     free_root;
     undef_roots = Hashtbl.create 16;
-    memo = Hashtbl.create 256;
-    busy = Hashtbl.create 16;
+    memo = Array.make g.Graph.n_classes None;
+    busy = Array.make g.Graph.n_classes false;
     nodes = 0;
     fresh_opq = 0;
   }
 
-(* read-only views for the sequential prover (Seqprove) *)
-let expander_netlist st = st.nl
-let is_free_root st c = c >= 0 && c < Array.length st.free_root && st.free_root.(c)
-let is_undef_root st v = Hashtbl.mem st.undef_roots v
-
-let rec expand st id =
-  let c = Netlist.canonical st.nl id in
-  match Hashtbl.find_opt st.memo c with
+(* formula variables are union-find roots: [Bvar r] / [Bopq r] name
+   the class whose root net is [r] *)
+let rec expand st c =
+  match st.memo.(c) with
   | Some e -> e
   | None ->
+      let g = st.g in
+      let r = g.Graph.rep.(c) in
       let e =
-        if Hashtbl.mem st.busy c then Bopq c (* combinational cycle *)
-        else if st.free_root.(c) then Bvar c
+        if st.busy.(c) then Bopq r (* combinational cycle *)
+        else if st.free_root.(c) then Bvar r
         else begin
-          Hashtbl.add st.busy c ();
+          st.busy.(c) <- true;
           let e =
-            if st.nodes > expansion_cap then Bopq c
+            if st.nodes > expansion_cap then Bopq r
             else
-              match (st.gates_of.(c), st.drivers_of.(c)) with
-              | [ gi ], [] -> expand_gate st st.gate_arr.(gi)
-              | [], [ di ] -> (
-                  let d = st.driver_arr.(di) in
-                  match d.Netlist.guard with
-                  | None -> expand_src st d.Netlist.source
-                  | Some _ -> Bopq c (* value can be NOINFL/UNDEF *))
-              | [], [] ->
+              match g.Graph.producer_count.(c) with
+              | 1 -> (
+                  match g.Graph.nodes.(Graph.producer g c 0) with
+                  | Graph.Ngate { op; inputs; _ } -> expand_gate st op inputs r
+                  | Graph.Ndriver { guard = None; source; _ } ->
+                      expand_src st source
+                  | Graph.Ndriver { guard = Some _; _ } ->
+                      Bopq r (* value can be NOINFL/UNDEF *))
+              | 0 ->
                   (* undriven: always reads UNDEF *)
-                  Hashtbl.replace st.undef_roots c ();
-                  Bopq c
-              | _ -> Bopq c (* multi-driven: resolution is not boolean *)
+                  Hashtbl.replace st.undef_roots r ();
+                  Bopq r
+              | _ -> Bopq r (* multi-driven: resolution is not boolean *)
           in
-          Hashtbl.remove st.busy c;
+          st.busy.(c) <- false;
           e
         end
       in
       st.nodes <- st.nodes + 1;
-      Hashtbl.replace st.memo c e;
+      st.memo.(c) <- Some e;
       e
 
 and expand_src st = function
@@ -258,17 +230,17 @@ and expand_src st = function
           st.fresh_opq <- st.fresh_opq - 1;
           Hashtbl.replace st.undef_roots st.fresh_opq ();
           Bopq st.fresh_opq)
-  | Netlist.Snet id -> expand st id
+  | Netlist.Snet c -> expand st c
 
-and expand_gate st (g : Netlist.gate) =
-  let ins () = List.map (expand_src st) g.Netlist.inputs in
-  match g.Netlist.op with
+(* [r] is the root of the gate's output class *)
+and expand_gate st op inputs r =
+  let ins () = List.map (expand_src st) (Array.to_list inputs) in
+  match (op : Netlist.gate_op) with
   | Netlist.Gand -> band (ins ())
   | Netlist.Gor -> bor (ins ())
   | Netlist.Gnand -> bnot (band (ins ()))
   | Netlist.Gnor -> bnot (bor (ins ()))
-  | Netlist.Gnot -> (
-      match ins () with [ e ] -> bnot e | _ -> Bopq (Netlist.canonical st.nl g.Netlist.output))
+  | Netlist.Gnot -> ( match ins () with [ e ] -> bnot e | _ -> Bopq r)
   | Netlist.Gxor -> (
       match ins () with
       | [] -> Bfalse
@@ -276,12 +248,12 @@ and expand_gate st (g : Netlist.gate) =
   | Netlist.Gequal ->
       let vs = ins () in
       let len = List.length vs in
-      if len mod 2 <> 0 then Bopq (Netlist.canonical st.nl g.Netlist.output)
+      if len mod 2 <> 0 then Bopq r
       else
         let a = List.filteri (fun i _ -> i < len / 2) vs
         and b = List.filteri (fun i _ -> i >= len / 2) vs in
         band (List.map2 (fun x y -> bnot (bxor x y)) a b)
-  | Netlist.Grandom -> Bvar (Netlist.canonical st.nl g.Netlist.output)
+  | Netlist.Grandom -> Bvar r
 
 (* ------------------------------------------------------------------ *)
 (* The bounded solver                                                   *)
@@ -401,10 +373,8 @@ let witness_to_string nl m =
    both of which the chain covers.  Nets outside any instance (CLK,
    RSET) are never skipped; the global scope holds declarations only,
    so it contributes no drivers of its own. *)
-let modular_skip (design : Elaborate.design) proven_safe =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
+let modular_skip (g : Graph.t) proven_safe =
+  let nl = g.Graph.nl in
   let type_of_path = Hashtbl.create 16 in
   List.iter
     (fun (i : Netlist.instance) ->
@@ -425,61 +395,56 @@ let modular_skip (design : Elaborate.design) proven_safe =
     in
     go name []
   in
-  let skip = Array.make n true in
-  let seen = Array.make n false in
+  let skip = Array.make g.Graph.n_classes true in
   Array.iter
     (fun (net : Netlist.net) ->
-      let c = canon net.Netlist.id in
-      seen.(c) <- true;
+      let c = g.Graph.canon.(net.Netlist.id) in
       match owner_types net.Netlist.name with
       | [] -> skip.(c) <- false
       | ts ->
           if not (List.for_all proven_safe ts) then skip.(c) <- false)
     (Netlist.nets_array nl);
-  Array.mapi (fun c s -> s && seen.(c)) skip
+  skip
 
-let prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl =
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  (* producers per canonical class, in creation order *)
-  let prods = Array.make n [] in
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      prods.(c) <- { pr_cond = Btrue; pr_loc = g.Netlist.gloc } :: prods.(c))
-    st.gate_arr;
-  Array.iter
-    (fun (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      prods.(c) <-
-        { pr_cond = drive_cond st d.Netlist.guard; pr_loc = d.Netlist.dloc }
-        :: prods.(c))
-    st.driver_arr;
-  (* class kind: mux if any member is mux *)
-  let kind = Array.make n Etype.KBool in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if net.Netlist.kind = Etype.KMux then kind.(canon net.Netlist.id) <- Etype.KMux)
-    (Netlist.nets_array nl);
+let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
+  let g = st.g in
+  let n_gates = Array.length g.Graph.gates in
+  (* every producer's drive condition, expanded in creation order (all
+     drivers, in node order) before any pair is solved *)
+  let conds =
+    Array.map
+      (function
+        | Graph.Ngate _ -> Btrue
+        | Graph.Ndriver { guard; _ } -> drive_cond st guard)
+      g.Graph.nodes
+  in
+  let producer node =
+    {
+      pr_cond = conds.(node);
+      pr_loc =
+        (if node < n_gates then g.Graph.gates.(node).Netlist.gloc
+         else g.Graph.drivers.(node - n_gates).Netlist.dloc);
+    }
+  in
   let verdicts = ref [] in
-  for c = 0 to n - 1 do
-    match List.rev prods.(c) with
-    | [] | [ _ ] -> ()
-    | ps when skip c ->
+  Graph.iter_roots g (fun c ->
+      let nps = g.Graph.producer_count.(c) in
+      let v_net = g.Graph.rep.(c) and name = g.Graph.names.(c) in
+      if nps <= 1 then ()
+      else if skip c then
         verdicts :=
           {
-            v_net = c;
-            v_name = (Netlist.net nl c).Netlist.name;
-            v_kind = kind.(c);
-            v_producers = List.length ps;
+            v_net;
+            v_name = name;
+            v_kind = g.Graph.class_kind.(c);
+            v_producers = nps;
             v_class = Safe;
             v_detail = "proved by the modular type summary (pre-pass)";
           }
           :: !verdicts
-    | ps ->
-        let name = (Netlist.net nl c).Netlist.name in
-        let nps = List.length ps in
-        let parr = Array.of_list ps in
+      else begin
+        (* producers in creation order: gates, then drivers *)
+        let parr = Array.init nps (fun k -> producer (Graph.producer g c k)) in
         let conflict = ref None and unknown = ref None in
         let pairs = ref 0 in
         (try
@@ -527,7 +492,11 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl =
                              parr.(j).pr_loc );
                        raise Exit
                    | Sat m ->
-                       if List.exists (fun (v, _) -> not (v >= 0 && st.free_root.(v))) m
+                       if
+                         List.exists
+                           (fun (v, _) ->
+                             not (v >= 0 && st.free_root.(g.Graph.canon.(v))))
+                           m
                        then begin
                          if !unknown = None then
                            unknown :=
@@ -538,7 +507,10 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl =
                        end
                        else
                          conflict :=
-                           Some (witness_to_string nl m, parr.(i).pr_loc, parr.(j).pr_loc)
+                           Some
+                             ( witness_to_string g.Graph.nl m,
+                               parr.(i).pr_loc,
+                               parr.(j).pr_loc )
                end
              done
            done
@@ -566,15 +538,15 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl =
         in
         verdicts :=
           {
-            v_net = c;
+            v_net;
             v_name = name;
-            v_kind = kind.(c);
+            v_kind = g.Graph.class_kind.(c);
             v_producers = nps;
             v_class;
             v_detail;
           }
           :: !verdicts
-  done;
+      end);
   List.rev !verdicts
 
 (* ------------------------------------------------------------------ *)
@@ -636,74 +608,49 @@ let gate_mask op inputs =
   | Netlist.Grandom -> m_zero lor m_one
 
 (* The value-set fixpoint, shared with pass 1: [sets] maps every
-   canonical net to the set of values it can ever carry; [undriven]
+   class to the set of values it can ever carry; [undriven]
    flags producer-less non-input, non-register classes.  Inputs are
    assumed defined ({0,1}) — that is the documented environment
    assumption of the whole lint — but register outputs start from their
    power-up value (UNDEF unless REG(c) gave a constant) and absorb
    whatever their input can latch, so UNDEF-capability of sequential
    state is tracked precisely. *)
-let value_sets (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  let inputs = Array.make n false in
-  List.iter (fun id -> inputs.(canon id) <- true) (Check.top_input_nets design);
-  let gates_of = Array.make n [] and drivers_of = Array.make n [] in
-  List.iter
-    (fun (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      gates_of.(c) <- g :: gates_of.(c))
-    (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      drivers_of.(c) <- d :: drivers_of.(c))
-    (Netlist.drivers nl);
-  let reg_of_out = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) -> Hashtbl.replace reg_of_out (canon r.Netlist.rout) r)
-    (Netlist.regs nl);
-  let sets = Array.make n 0 in
+let value_sets (g : Graph.t) =
+  let sets = Array.make g.Graph.n_classes 0 in
   let mask_of_src = function
     | Netlist.Sconst v -> mask_of v
-    | Netlist.Snet id -> sets.(canon id)
+    | Netlist.Snet c -> sets.(c)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    for c = 0 to n - 1 do
-      if canon c = c then begin
+    Graph.iter_roots g (fun c ->
         let contribs = ref [] in
-        List.iter
-          (fun (g : Netlist.gate) ->
-            contribs := gate_mask g.Netlist.op (List.map mask_of_src g.Netlist.inputs) :: !contribs)
-          gates_of.(c);
-        List.iter
-          (fun (d : Netlist.driver) ->
-            let src = mask_of_src d.Netlist.source in
+        Graph.iter_producers g c (fun node ->
             let m =
-              match d.Netlist.guard with
-              | None -> src
-              | Some g ->
-                  let gm = booleanize_mask (mask_of_src g) in
-                  (if gm land m_one <> 0 then src else 0)
+              match g.Graph.nodes.(node) with
+              | Graph.Ngate { op; inputs; _ } ->
+                  gate_mask op (List.map mask_of_src (Array.to_list inputs))
+              | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
+              | Graph.Ndriver { guard = Some gd; source; _ } ->
+                  let gm = booleanize_mask (mask_of_src gd) in
+                  (if gm land m_one <> 0 then mask_of_src source else 0)
                   lor (if gm land m_zero <> 0 then m_noinfl else 0)
                   lor (if gm land m_undef <> 0 then m_undef else 0)
             in
-            contribs := m :: !contribs)
-          drivers_of.(c);
+            contribs := m :: !contribs);
         let driving = List.filter (fun m -> m land lnot m_noinfl <> 0) !contribs in
         let base =
-          if inputs.(c) then m_zero lor m_one
+          if g.Graph.input_class.(c) then m_zero lor m_one
           else
-            match Hashtbl.find_opt reg_of_out c with
-            | Some r ->
-                mask_of r.Netlist.rinit
-                lor booleanize_mask (sets.(canon r.Netlist.rin) land lnot m_noinfl)
-            | None ->
+            match g.Graph.reg_of_out.(c) with
+            | -1 ->
                 if !contribs = [] then m_undef (* producer-less: reads UNDEF *)
                 else 0
+            | i ->
+                mask_of g.Graph.regs.(i).Netlist.rinit
+                lor booleanize_mask
+                      (sets.(g.Graph.reg_in.(i)) land lnot m_noinfl)
         in
         let m =
           List.fold_left ( lor ) base !contribs
@@ -713,36 +660,25 @@ let value_sets (design : Elaborate.design) =
         if m <> sets.(c) then begin
           sets.(c) <- m;
           changed := true
-        end
-      end
-    done
+        end)
   done;
   let undriven =
-    Array.init n (fun c ->
-        gates_of.(c) = [] && drivers_of.(c) = []
-        && (not inputs.(c))
-        && not (Hashtbl.mem reg_of_out c))
+    Array.init g.Graph.n_classes (fun c ->
+        g.Graph.producer_count.(c) = 0
+        && (not g.Graph.input_class.(c))
+        && not g.Graph.reg_out_class.(c))
   in
   (sets, undriven)
 
-let undef_pass bag (design : Elaborate.design) (sets, undriven) =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  (* report per class, through a representative read, user-visible net *)
-  let members = Array.make n [] in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let c = canon net.Netlist.id in
-      members.(c) <- net :: members.(c))
-    (Netlist.nets_array nl);
-  for c = 0 to n - 1 do
-    if canon c = c then begin
+let undef_pass bag (g : Graph.t) (sets, undriven) =
+  (* report per class, through a representative read, user-visible net
+     (the highest-numbered candidate) *)
+  Graph.iter_roots g (fun c ->
       let read =
         List.filter
           (fun (net : Netlist.net) ->
             net.Netlist.reads > 0 && not (String.contains net.Netlist.name '#'))
-          members.(c)
+          (List.rev_map (Netlist.net g.Graph.nl) (Graph.members g c))
       in
       let rep =
         match
@@ -763,9 +699,7 @@ let undef_pass bag (design : Elaborate.design) (sets, undriven) =
             Diag.Bag.warning bag ~code:Diag.Code.undef_only Diag.Lint_error
               net.Netlist.loc
               "'%s' can never carry a defined value — every read yields UNDEF"
-              net.Netlist.name
-    end
-  done
+              net.Netlist.name)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: dead hardware                                                *)
@@ -837,15 +771,8 @@ let dead_pass bag (design : Elaborate.design) ai =
 (* Pass 4: abstract interpretation (Z501/Z502/Z503)                     *)
 (* ------------------------------------------------------------------ *)
 
-let absint_pass bag (design : Elaborate.design) ai (sets, _undriven)
-    ~dead_paths =
-  let nl = design.Elaborate.netlist in
-  let members = Array.make ai.Absint.n_classes [] in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let c = ai.Absint.canon.(net.Netlist.id) in
-      members.(c) <- net :: members.(c))
-    (Netlist.nets_array nl);
+let absint_pass bag ai (sets, _undriven) ~dead_paths =
+  let g = ai.Absint.graph in
   let under_dead name =
     List.exists
       (fun p ->
@@ -864,8 +791,8 @@ let absint_pass bag (design : Elaborate.design) ai (sets, _undriven)
     | net :: _ -> Some net
     | [] -> ( match nets with net :: _ -> Some net | [] -> None)
   in
-  for c = 0 to ai.Absint.n_classes - 1 do
-    if ai.Absint.producers.(c) > 0 && not ai.Absint.input_class.(c) then begin
+  for c = 0 to g.Graph.n_classes - 1 do
+    if g.Graph.producer_count.(c) > 0 && not g.Graph.input_class.(c) then begin
       let generated (name : string) =
         (* elaboration helpers with no source-level identity: gate
            temporaries ('#') and the guard/negated-guard nets built for
@@ -881,7 +808,7 @@ let absint_pass bag (design : Elaborate.design) ai (sets, _undriven)
       let visible =
         List.filter
           (fun (n : Netlist.net) -> not (generated n.Netlist.name))
-          (List.rev members.(c))
+          (List.map (Netlist.net g.Graph.nl) (Graph.members g c))
       in
       (* a net someone looks at: read by logic, or an OUT/INOUT pin *)
       let observed =
@@ -912,8 +839,7 @@ let absint_pass bag (design : Elaborate.design) ai (sets, _undriven)
              never read a defined value; Z502 adds the strictly finer
              must-facts it misses — e.g. a guaranteed drive conflict
              resolving to UNDEF every cycle *)
-          let oc = ai.Absint.rep.(c) in
-          if booleanize_mask sets.(oc) land (m_zero lor m_one) <> 0 then
+          if booleanize_mask sets.(c) land (m_zero lor m_one) <> 0 then
             match pick observed with
             | Some net ->
                 Diag.Bag.warning bag ~code:Diag.Code.absint_stuck
@@ -953,28 +879,26 @@ let absint_pass bag (design : Elaborate.design) ai (sets, _undriven)
 let default_budget = 4096
 
 let run ?(budget = default_budget) ?proven_safe (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
+  let g = Graph.build design in
   let bag = Diag.Bag.create () in
-  let st = make_expander design in
+  let st = make_expander g in
   let splits = ref 0 in
   let skip =
     match proven_safe with
     | None -> fun _ -> false
     | Some p ->
-        let arr = modular_skip design p in
+        let arr = modular_skip g p in
         fun c -> arr.(c)
   in
-  (* expansion must precede the conflict pass so undef_roots is filled
-     before pairs are scanned — drive_cond runs inside the pass, so
-     scan pairs only after all conditions are expanded (prove_conflicts
-     builds every producer's condition before solving any pair) *)
-  let (sets, _) as vsets = value_sets design in
-  let can_undef c = booleanize_mask sets.(c) land m_undef <> 0 in
-  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl in
-  undef_pass bag design vsets;
+  (* prove_conflicts expands every producer's condition before solving
+     any pair, so undef_roots is complete when pairs are scanned *)
+  let (sets, _) as vsets = value_sets g in
+  let can_undef v = booleanize_mask sets.(g.Graph.canon.(v)) land m_undef <> 0 in
+  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip in
+  undef_pass bag g vsets;
   let ai = Absint.analyze design in
   let dead_paths = dead_pass bag design ai in
-  absint_pass bag design ai vsets ~dead_paths;
+  absint_pass bag ai vsets ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits; absint = ai }
 
 let count cls report =

@@ -69,7 +69,7 @@ val classification_to_string : classification -> string
 
 (** One multi-driven net (canonical alias class). *)
 type net_verdict = {
-  v_net : int;  (** canonical net id *)
+  v_net : int;  (** canonical net id: the class's union-find root *)
   v_name : string;
   v_kind : Etype.kind;
   v_producers : int;  (** drivers + gates on the class *)
@@ -117,35 +117,21 @@ val summary : report -> string
     duplicating the netlist walk. *)
 
 (** The memoizing guard expander of the conflict prover: walks the
-    netlist backwards from a net to a [bexp] over free variables
-    (testbench inputs, register outputs, RANDOM sources — their
-    canonical class ids) and opaque leaves. *)
+    class graph backwards from a class to a [bexp] over free variables
+    (testbench inputs, register outputs, RANDOM sources) and opaque
+    leaves.  Variable ids are the union-find roots of their classes
+    ([Graph.rep]), so they name nets. *)
 type expander
 
-val make_expander : Elaborate.design -> expander
-
-(** [expand st id] — the boolean formula for net [id] (any alias of
-    the class).  Memoized; bounded by an internal node cap past which
-    leaves become opaque. *)
-val expand : expander -> int -> bexp
+val make_expander : Graph.t -> expander
 
 (** [drive_cond st guard] — the condition under which a driver with
-    this guard produces a driving (non-NOINFL) value: [Btrue] for an
+    this guard (a {!Graph.node} guard: [Snet] ids are class ids)
+    produces a driving (non-NOINFL) value: [Btrue] for an
     unconditional driver, and the expanded guard otherwise (an UNDEF
-    guard also drives). *)
+    guard also drives).  Memoized; bounded by an internal node cap
+    past which leaves become opaque. *)
 val drive_cond : expander -> Netlist.src option -> bexp
-
-val expander_netlist : expander -> Netlist.t
-
-(** Is this canonical class a free root (testbench input, register
-    output, RANDOM source)?  Variable ids in expanded formulas are
-    canonical class ids, so this classifies [Bvar]s. *)
-val is_free_root : expander -> int -> bool
-
-(** Did the expansion record this (possibly negative) opaque id as one
-    that can read UNDEF (an undriven net or a literal-UNDEF
-    constant)? *)
-val is_undef_root : expander -> int -> bool
 
 (** {3 Value-set masks}
 
@@ -165,12 +151,6 @@ val booleanize_mask : int -> int
 (** The transfer function of a gate over input value-set masks
     (inputs are booleanized first, as the simulator does). *)
 val gate_mask : Netlist.gate_op -> int list -> int
-
-(** The flow-insensitive value-set fixpoint: for every canonical net,
-    the mask of values it can ever carry, plus the producer-less
-    (undriven) flags.  Inputs are assumed defined ({0,1}); register
-    outputs start from power-up. *)
-val value_sets : Elaborate.design -> int array * bool array
 
 (** The schema version carried in the [version] member of the JSON
     report; bumped on any incompatible change to the output shape. *)

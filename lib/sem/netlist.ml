@@ -241,8 +241,6 @@ let union t ~scope a b =
 
 let canonical t i = find t i
 
-let same_class t a b = find t a = find t b
-
 (* --- read/star bookkeeping ------------------------------------------- *)
 
 let mark_read t ~scope id =
@@ -268,16 +266,6 @@ let regs t = List.rev t.regs
 let instances t = List.rev t.instances
 
 let order_constraints t = List.rev t.order_constraints
-
-(* Drivers grouped by canonical target — used by checker and simulator. *)
-let drivers_by_target t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun d ->
-      let key = canonical t d.target in
-      Hashtbl.replace tbl key (d :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
-    t.drivers;
-  Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
 
 (* a shallow variant of [t] with replaced gate/driver lists; nets,
    aliases and instances are shared *)

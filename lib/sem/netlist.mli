@@ -122,8 +122,6 @@ val union : t -> scope:int -> int -> int -> unit
 (** Canonical representative of a net's alias class. *)
 val canonical : t -> int -> int
 
-val same_class : t -> int -> int -> bool
-
 (** {1 Usage bookkeeping} *)
 
 val mark_read : t -> scope:int -> int -> unit
@@ -141,7 +139,6 @@ val drivers : t -> driver list
 val regs : t -> reg list
 val instances : t -> instance list
 val order_constraints : t -> (Loc.t * int list * int list) list
-val drivers_by_target : t -> (int * driver list) list
 
 (** Net ids written (driver targets, gate outputs) since the given
     snapshot from {!counts} — builds SEQUENTIAL ordering constraints. *)

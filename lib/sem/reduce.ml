@@ -44,25 +44,26 @@ type result = {
   stats : stats;
 }
 
-let class_name (design : Elaborate.design) (ai : Absint.t) c =
-  let nl = design.Elaborate.netlist in
-  let best = ref None in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if
-        ai.Absint.canon.(net.Netlist.id) = c
-        && !best = None
-        && not (String.contains net.Netlist.name '#')
-      then best := Some net.Netlist.name)
-    (Netlist.nets_array nl);
-  match !best with
+(* the first member net without a generated ('#') name, else the
+   class representative's *)
+let class_name (g : Graph.t) c =
+  let names =
+    List.map
+      (fun id -> (Netlist.net g.Graph.nl id).Netlist.name)
+      (Graph.members g c)
+  in
+  match List.find_opt (fun name -> not (String.contains name '#')) names with
   | Some name -> name
-  | None -> (Netlist.net nl ai.Absint.rep.(c)).Netlist.name
+  | None -> g.Graph.names.(c)
 
 let run (design : Elaborate.design) =
   let ai = Absint.analyze design in
-  let nl = design.Elaborate.netlist in
-  let canon id = ai.Absint.canon.(id) in
+  let g = ai.Absint.graph in
+  let nl = g.Graph.nl in
+  let n_classes = g.Graph.n_classes in
+  let canon id = g.Graph.canon.(id) in
+  let producers = g.Graph.producer_count in
+  let pinned c = g.Graph.input_class.(c) || g.Graph.reg_out_class.(c) in
   let const_of c =
     match ai.Absint.value.(c) with
     | Absint.Const v -> Some v
@@ -72,10 +73,7 @@ let run (design : Elaborate.design) =
      not pokeable — exactly the nets whose every producer the rewrite
      may delete without changing drive counts on any other class *)
   let foldable c =
-    ai.Absint.producers.(c) = 1
-    && (not ai.Absint.input_class.(c))
-    && (not ai.Absint.reg_out_class.(c))
-    && const_of c <> None
+    producers.(c) = 1 && (not (pinned c)) && const_of c <> None
   in
   let rewrite_src s =
     match s with
@@ -86,17 +84,10 @@ let run (design : Elaborate.design) =
         | None -> s)
   in
   let live c = ai.Absint.observable.(c) in
-  (* mux taint per class, for the copy-propagation kind guard *)
-  let class_mux = Array.make ai.Absint.n_classes false in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if net.Netlist.kind = Etype.KMux then
-        class_mux.(canon net.Netlist.id) <- true)
-    (Netlist.nets_array nl);
-  let const_driver_emitted = Array.make ai.Absint.n_classes false in
+  let const_driver_emitted = Array.make n_classes false in
   (* never-firing drivers already dropped per class — a drop is only
      legal while the class keeps at least one other producer *)
-  let guard0_dropped = Array.make ai.Absint.n_classes 0 in
+  let guard0_dropped = Array.make n_classes 0 in
   let gates = ref [] and drivers = ref [] and consts = ref 0 in
   let merges = ref [] and copies = ref 0 in
   (* copy propagation: an unguarded [t := s] whose target class has no
@@ -114,17 +105,16 @@ let run (design : Elaborate.design) =
      the reduced run would flip different coins.  Copy propagation is
      therefore disabled outright when a RANDOM source is present. *)
   let has_random =
-    List.exists
+    Array.exists
       (fun (g : Netlist.gate) -> g.Netlist.op = Netlist.Grandom)
-      (Netlist.gates nl)
+      g.Graph.gates
   in
   let copy_mergeable tc sc =
     (not has_random)
     && tc <> sc
-    && ai.Absint.producers.(tc) = 1
-    && (not ai.Absint.input_class.(tc))
-    && (not ai.Absint.reg_out_class.(tc))
-    && class_mux.(tc) = class_mux.(sc)
+    && producers.(tc) = 1
+    && (not (pinned tc))
+    && g.Graph.class_kind.(tc) = g.Graph.class_kind.(sc)
   in
   let emit_const target v loc =
     let c = canon target in
@@ -204,9 +194,8 @@ let run (design : Elaborate.design) =
             merges := (d.Netlist.target, s) :: !merges
         | Some (Netlist.Sconst v), _
           when Logic.booleanize v = Logic.Zero
-               && ai.Absint.producers.(t) - guard0_dropped.(t) > 1
-               && (not ai.Absint.input_class.(t))
-               && not ai.Absint.reg_out_class.(t) ->
+               && producers.(t) - guard0_dropped.(t) > 1
+               && not (pinned t) ->
             (* never fires, contributes NOINFL, and another producer
                remains: dropping it changes neither the resolved value
                nor the runtime drive count *)
@@ -219,7 +208,7 @@ let run (design : Elaborate.design) =
     Netlist.with_nodes_merged nl ~gates ~drivers ~merges:!merges
   in
   (* classes whose whole producing cone vanished *)
-  let producers_after = Array.make ai.Absint.n_classes 0 in
+  let producers_after = Array.make n_classes 0 in
   List.iter
     (fun (g : Netlist.gate) ->
       let c = canon g.Netlist.output in
@@ -234,20 +223,20 @@ let run (design : Elaborate.design) =
   Array.iteri
     (fun c before ->
       if before > 0 && producers_after.(c) = 0 then incr eliminated)
-    ai.Absint.producers;
+    producers;
   let const0, const1, stuckx, stuckz, varying = Absint.counts ai in
   let stats =
     {
-      classes = ai.Absint.n_classes;
+      classes = n_classes;
       const0;
       const1;
       stuckx;
       stuckz;
       varying;
       unobservable = Absint.unobservable_count ai;
-      gates_before = List.length (Netlist.gates nl);
+      gates_before = Array.length g.Graph.gates;
       gates_after = List.length gates;
-      drivers_before = List.length (Netlist.drivers nl);
+      drivers_before = Array.length g.Graph.drivers;
       drivers_after = List.length drivers;
       consts_folded = !consts;
       copies_merged = !copies;
@@ -259,18 +248,19 @@ let run (design : Elaborate.design) =
 
 let proof_table r =
   let ai = r.ai in
+  let g = ai.Absint.graph in
   let rows = ref [] in
-  for c = ai.Absint.n_classes - 1 downto 0 do
+  for c = g.Graph.n_classes - 1 downto 0 do
     if
-      ai.Absint.producers.(c) > 0
+      g.Graph.producer_count.(c) > 0
       && (ai.Absint.cls.(c) <> Absint.Varying || not ai.Absint.observable.(c))
     then
       rows :=
         ( c,
-          class_name r.design ai c,
+          class_name g c,
           ai.Absint.cls.(c),
           ai.Absint.observable.(c),
-          ai.Absint.producers.(c) )
+          g.Graph.producer_count.(c) )
         :: !rows
   done;
   !rows
@@ -293,17 +283,18 @@ let json_schema_version = 1
 
 let json_of_result r =
   let ai = r.ai and s = r.stats in
+  let g = ai.Absint.graph in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "{\n  \"version\": %d,\n  \"classes\": [" json_schema_version);
-  for c = 0 to ai.Absint.n_classes - 1 do
+  for c = 0 to g.Graph.n_classes - 1 do
     if c > 0 then Buffer.add_char b ',';
     Buffer.add_string b
       (Printf.sprintf
          "\n    {\"net\":\"%s\",\"class\":\"%s\",\"observable\":%b,\"producers\":%d}"
-         (json_escape (class_name r.design ai c))
+         (json_escape (class_name g c))
          (Absint.classification_to_string ai.Absint.cls.(c))
-         ai.Absint.observable.(c) ai.Absint.producers.(c))
+         ai.Absint.observable.(c) g.Graph.producer_count.(c))
   done;
   Buffer.add_string b
     (Printf.sprintf

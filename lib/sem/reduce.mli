@@ -14,7 +14,7 @@
     ({!Netlist.with_nodes_merged}); its alias union-find is a copy,
     extended by the merged copies, so class {e indices} may differ from
     the original's.  Cross-design comparison therefore goes through
-    per-net class maps ({!Zeus_sim.Graph}[.canon] of each design):
+    per-net class maps ({!Graph}[.canon] of each design):
     oracle row O6 asserts, for every net the analysis marked
     observable, that optimized and unoptimized snapshots agree.
 
@@ -73,7 +73,7 @@ val run : Elaborate.design -> result
 
 (** A user-facing display name for a class: the first member net whose
     name carries no compiler-internal ['#'], else the representative. *)
-val class_name : Elaborate.design -> Absint.t -> int -> string
+val class_name : Graph.t -> int -> string
 
 (** The proof table rows worth showing a human: classes with at least
     one producer that are non-varying or unobservable, in class order —

@@ -89,138 +89,60 @@ type report = {
 let default_depth = 8
 
 (* ------------------------------------------------------------------ *)
-(* Context: the netlist pre-resolved to canonical classes               *)
+(* Context: the class graph plus the lint verdicts                      *)
 (* ------------------------------------------------------------------ *)
 
-type asrc =
-  | Aconst of Logic.t
-  | Anet of int (* canonical class *)
-
-type aprod =
-  | Agate of Netlist.gate_op * asrc array
-  | Adriver of asrc option * asrc (* guard, source *)
-
+(* Arrays are per class; formula variables, verdict keys and witness
+   pokes are union-find roots ([g.rep]), the ids lint reports. *)
 type ctx = {
-  design : Elaborate.design;
-  nl : Netlist.t;
-  n : int;
-  is_canon : bool array;
-  prods : aprod list array; (* per canonical class, creation order *)
-  producers : int array;
-  kmux : bool array;
-  is_input : bool array;
-  clk : int;
-  rset : int;
-  regs : Netlist.reg array;
-  rin_cls : int array; (* per register, canonical class of rin *)
-  rout_cls : int array;
-  reg_ix_of_out : (int, int list) Hashtbl.t;
-  members : Netlist.net list array; (* per canonical class, id order *)
+  g : Graph.t;
+  regs_of_out : int list array; (* per class: register indices, ascending *)
   has_random : bool;
-  st : Lint.expander;
-  conds : (int, Lint.bexp array) Hashtbl.t; (* NRC class -> drive conds *)
-  verdict_of : (int, Lint.classification) Hashtbl.t;
+  conds : (int, Lint.bexp array) Hashtbl.t; (* NRC root -> drive conds *)
+  verdict_of : (int, Lint.classification) Hashtbl.t; (* by root *)
   absint : Absint.t; (* liveness, from the lint report *)
   mutable fresh : int; (* per-occurrence renamed variables *)
 }
 
+(* the [k]-th producer node of class [c]; the hot loops below walk
+   [k] in a for loop, in creation order, so they allocate no closure
+   per class *)
+let prod g c k = g.Graph.nodes.(Graph.producer g c k)
+
 let make_ctx (design : Elaborate.design) (lintrep : Lint.report) =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  let is_canon = Array.init n (fun c -> canon c = c) in
-  let asrc_of = function
-    | Netlist.Sconst v -> Aconst v
-    | Netlist.Snet id -> Anet (canon id)
-  in
-  let prods = Array.make n [] in
-  let producers = Array.make n 0 in
-  let has_random = ref false in
-  List.iter
-    (fun (g : Netlist.gate) ->
-      if g.Netlist.op = Netlist.Grandom then has_random := true;
-      let c = canon g.Netlist.output in
-      prods.(c) <-
-        Agate (g.Netlist.op, Array.of_list (List.map asrc_of g.Netlist.inputs))
-        :: prods.(c);
-      producers.(c) <- producers.(c) + 1)
-    (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      prods.(c) <-
-        Adriver (Option.map asrc_of d.Netlist.guard, asrc_of d.Netlist.source)
-        :: prods.(c);
-      producers.(c) <- producers.(c) + 1)
-    (Netlist.drivers nl);
-  Array.iteri (fun c l -> prods.(c) <- List.rev l) prods;
-  let kmux = Array.make n false in
-  let members = Array.make n [] in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let c = canon net.Netlist.id in
-      if net.Netlist.kind = Etype.KMux then kmux.(c) <- true;
-      members.(c) <- net :: members.(c))
-    (Netlist.nets_array nl);
-  Array.iteri (fun c l -> members.(c) <- List.rev l) members;
-  let is_input = Array.make n false in
-  List.iter (fun id -> is_input.(canon id) <- true) (Check.top_input_nets design);
-  let regs = Array.of_list (Netlist.regs nl) in
-  let rin_cls = Array.map (fun (r : Netlist.reg) -> canon r.Netlist.rin) regs in
-  let rout_cls = Array.map (fun (r : Netlist.reg) -> canon r.Netlist.rout) regs in
-  let reg_ix_of_out = Hashtbl.create 16 in
-  Array.iteri
-    (fun i c ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt reg_ix_of_out c) in
-      Hashtbl.replace reg_ix_of_out c (prev @ [ i ]))
-    rout_cls;
-  let st = Lint.make_expander design in
+  let g = Graph.build design in
+  let regs_of_out = Array.make g.Graph.n_classes [] in
+  for i = Array.length g.Graph.regs - 1 downto 0 do
+    let c = g.Graph.reg_out.(i) in
+    regs_of_out.(c) <- i :: regs_of_out.(c)
+  done;
+  let st = Lint.make_expander g in
   let verdict_of = Hashtbl.create 64 in
   let conds = Hashtbl.create 64 in
   List.iter
     (fun (v : Lint.net_verdict) ->
       Hashtbl.replace verdict_of v.Lint.v_net v.Lint.v_class;
       if v.Lint.v_class = Lint.Needs_runtime_check then begin
-        let c = v.Lint.v_net in
+        let c = g.Graph.canon.(v.Lint.v_net) in
         (* drive conditions per producer, in creation order — a gate
            always drives; a driver drives when its guard is 1 or
            undefined (drive_cond).  Expansion is forced here, once. *)
         let cs =
-          List.map
-            (function
-              | Agate _ -> Lint.Btrue
-              | Adriver (g, _) ->
-                  let g =
-                    Option.map
-                      (function
-                        | Aconst v -> Netlist.Sconst v
-                        | Anet c -> Netlist.Snet c)
-                      g
-                  in
-                  Lint.drive_cond st g)
-            prods.(c)
+          Array.init g.Graph.producer_count.(c) (fun k ->
+              match prod g c k with
+              | Graph.Ngate _ -> Lint.Btrue
+              | Graph.Ndriver { guard; _ } -> Lint.drive_cond st guard)
         in
-        Hashtbl.replace conds c (Array.of_list cs)
+        Hashtbl.replace conds v.Lint.v_net cs
       end)
     lintrep.Lint.verdicts;
   {
-    design;
-    nl;
-    n;
-    is_canon;
-    prods;
-    producers;
-    kmux;
-    is_input;
-    clk = canon design.Elaborate.clk_net;
-    rset = canon design.Elaborate.rset_net;
-    regs;
-    rin_cls;
-    rout_cls;
-    reg_ix_of_out;
-    members;
-    has_random = !has_random;
-    st;
+    g;
+    regs_of_out;
+    has_random =
+      Array.exists
+        (fun (gt : Netlist.gate) -> gt.Netlist.op = Netlist.Grandom)
+        g.Graph.gates;
     conds;
     verdict_of;
     absint = lintrep.Lint.absint;
@@ -234,11 +156,14 @@ let make_ctx (design : Elaborate.design) (lintrep : Lint.report) =
 (* state mask of a register-output variable, or None when the variable
    is not a (pure) register output *)
 let state_mask_of_var ctx reg_masks v =
-  match Hashtbl.find_opt ctx.reg_ix_of_out v with
-  | Some idxs when ctx.producers.(v) = 0 ->
-      Some (List.fold_left (fun a i -> a lor reg_masks.(i)) 0 idxs)
-  | Some _ -> None (* register output with extra producers: opaque *)
-  | None -> if v >= 0 && v < ctx.n then Some (Lint.m_zero lor Lint.m_one) else None
+  if v < 0 || v >= ctx.g.Graph.n_nets then None
+  else
+    let c = ctx.g.Graph.canon.(v) in
+    match ctx.regs_of_out.(c) with
+    | [] -> Some (Lint.m_zero lor Lint.m_one)
+    | idxs when ctx.g.Graph.producer_count.(c) = 0 ->
+        Some (List.fold_left (fun a i -> a lor reg_masks.(i)) 0 idxs)
+    | _ -> None (* register output with extra producers: opaque *)
 
 (* substitute the state into a guard formula; UNDEF-capable and opaque
    leaves become fresh per-occurrence variables (sound for UNSAT under
@@ -252,8 +177,9 @@ let substitute ctx reg_masks e =
     match e with
     | Lint.Btrue | Lint.Bfalse -> e
     | Lint.Bvar v -> (
-        if v < 0 || v >= ctx.n then fresh_var ()
-        else if ctx.is_input.(v) then Lint.Bvar v (* env-defined: {0,1} *)
+        if v < 0 || v >= ctx.g.Graph.n_nets then fresh_var ()
+        else if ctx.g.Graph.input_class.(ctx.g.Graph.canon.(v)) then
+          Lint.Bvar v (* env-defined: {0,1} *)
         else
           match state_mask_of_var ctx reg_masks v with
           | None -> fresh_var ()
@@ -314,75 +240,71 @@ let compute_exclusive ctx ~budget ~splits ~reg_masks =
    the state, inputs are defined, RSET reads [rset_mask], and the
    conflict-injects-UNDEF rule is gated on [exclusive] *)
 let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
-  let sets = Array.make ctx.n 0 in
+  let g = ctx.g in
+  let sets = Array.make g.Graph.n_classes 0 in
   let mask_of_src = function
-    | Aconst v -> Lint.mask_of v
-    | Anet c -> sets.(c)
+    | Netlist.Sconst v -> Lint.mask_of v
+    | Netlist.Snet c -> sets.(c)
   in
-  let base = Array.make ctx.n 0 in
-  for c = 0 to ctx.n - 1 do
-    if ctx.is_canon.(c) then
-      base.(c) <-
-        (if ctx.is_input.(c) then
-           if c = ctx.rset then rset_mask else Lint.m_zero lor Lint.m_one
-         else
-           match Hashtbl.find_opt ctx.reg_ix_of_out c with
-           | Some idxs -> List.fold_left (fun a i -> a lor reg_masks.(i)) 0 idxs
-           | None -> if ctx.producers.(c) = 0 then Lint.m_undef else 0)
-  done;
+  let base =
+    Array.init g.Graph.n_classes (fun c ->
+        if g.Graph.input_class.(c) then
+          if c = g.Graph.rset then rset_mask else Lint.m_zero lor Lint.m_one
+        else
+          match ctx.regs_of_out.(c) with
+          | [] -> if g.Graph.producer_count.(c) = 0 then Lint.m_undef else 0
+          | idxs -> List.fold_left (fun a i -> a lor reg_masks.(i)) 0 idxs)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    for c = 0 to ctx.n - 1 do
-      if ctx.is_canon.(c) then begin
+    Graph.iter_roots g (fun c ->
         let driving = ref 0 in
         let m = ref base.(c) in
-        List.iter
-          (fun p ->
-            let pm =
-              match p with
-              | Agate (op, ins) ->
-                  Lint.gate_mask op (List.map mask_of_src (Array.to_list ins))
-              | Adriver (None, src) -> mask_of_src src
-              | Adriver (Some g, src) ->
-                  let gm = Lint.booleanize_mask (mask_of_src g) in
-                  (if gm land Lint.m_one <> 0 then mask_of_src src else 0)
-                  lor (if gm land Lint.m_zero <> 0 then Lint.m_noinfl else 0)
-                  lor (if gm land Lint.m_undef <> 0 then Lint.m_undef else 0)
-            in
-            if pm land lnot Lint.m_noinfl <> 0 then incr driving;
-            m := !m lor pm)
-          ctx.prods.(c);
-        let m =
-          !m lor (if !driving >= 2 && not (exclusive c) then Lint.m_undef else 0)
-        in
+        for k = 0 to g.Graph.producer_count.(c) - 1 do
+          let pm =
+            match prod g c k with
+            | Graph.Ngate { op; inputs; _ } ->
+                Lint.gate_mask op (List.map mask_of_src (Array.to_list inputs))
+            | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
+            | Graph.Ndriver { guard = Some gd; source; _ } ->
+                let gm = Lint.booleanize_mask (mask_of_src gd) in
+                (if gm land Lint.m_one <> 0 then mask_of_src source else 0)
+                lor (if gm land Lint.m_zero <> 0 then Lint.m_noinfl else 0)
+                lor (if gm land Lint.m_undef <> 0 then Lint.m_undef else 0)
+          in
+          if pm land lnot Lint.m_noinfl <> 0 then incr driving;
+          m := !m lor pm
+        done;
+        let conflict = !driving >= 2 && not (exclusive g.Graph.rep.(c)) in
+        let m = !m lor (if conflict then Lint.m_undef else 0) in
         let m = sets.(c) lor m in
         if m <> sets.(c) then begin
           sets.(c) <- m;
           changed := true
-        end
-      end
-    done
+        end)
   done;
   (* per class: can every producer be silent in the same cycle?  Only
      then can a register input keep its stored value — one driver whose
      guard is never 0 (a reset pulse, say) forces a latch no matter how
      many silent siblings it has *)
-  let all_silent = Array.make ctx.n false in
-  for c = 0 to ctx.n - 1 do
-    if ctx.is_canon.(c) && ctx.prods.(c) <> [] then
-      all_silent.(c) <-
-        List.for_all
-          (fun p ->
-            match p with
-            | Agate _ -> false
-            | Adriver (None, src) ->
-                mask_of_src src land Lint.m_noinfl <> 0
-            | Adriver (Some g, src) ->
-                Lint.booleanize_mask (mask_of_src g) land Lint.m_zero <> 0
-                || mask_of_src src land Lint.m_noinfl <> 0)
-          ctx.prods.(c)
-  done;
+  let all_silent =
+    Array.init g.Graph.n_classes (fun c ->
+        let silent = ref (g.Graph.producer_count.(c) > 0) in
+        for k = 0 to g.Graph.producer_count.(c) - 1 do
+          silent :=
+            !silent
+            &&
+            match prod g c k with
+            | Graph.Ngate _ -> false
+            | Graph.Ndriver { guard = None; source; _ } ->
+                mask_of_src source land Lint.m_noinfl <> 0
+            | Graph.Ndriver { guard = Some gd; source; _ } ->
+                Lint.booleanize_mask (mask_of_src gd) land Lint.m_zero <> 0
+                || mask_of_src source land Lint.m_noinfl <> 0
+        done;
+        !silent)
+  in
   (sets, all_silent)
 
 (* the register latch: values latch when some driver fires; the stored
@@ -390,19 +312,20 @@ let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
    cycle ([all_silent]); producer-less inputs latch pokes (defined, by
    the environment assumption) *)
 let next_regs ctx (sets, all_silent) reg_masks =
+  let g = ctx.g in
   Array.mapi
-    (fun i (_ : Netlist.reg) ->
-      let rc = ctx.rin_cls.(i) in
+    (fun i rc ->
       let old = reg_masks.(i) in
-      if ctx.producers.(rc) = 0 then
-        if ctx.is_input.(rc) then old lor Lint.m_zero lor Lint.m_one else old
+      if g.Graph.producer_count.(rc) = 0 then
+        if g.Graph.input_class.(rc) then old lor Lint.m_zero lor Lint.m_one
+        else old
       else begin
         let m = sets.(rc) in
         let latched = m land (Lint.m_zero lor Lint.m_one lor Lint.m_undef) in
         latched
         lor (if all_silent.(rc) || latched = 0 then old else 0)
       end)
-    ctx.regs
+    g.Graph.reg_in
 
 (* ------------------------------------------------------------------ *)
 (* Reachability fixpoint and reset trajectory                           *)
@@ -414,9 +337,11 @@ let any_input_mask = Lint.m_zero lor Lint.m_one
    every reachable register state (RSET free, inputs defined) *)
 let powerup_fixpoint ctx ~budget ~splits =
   let reg_masks =
-    Array.map (fun (r : Netlist.reg) -> Lint.mask_of r.Netlist.rinit) ctx.regs
+    Array.map
+      (fun (r : Netlist.reg) -> Lint.mask_of r.Netlist.rinit)
+      ctx.g.Graph.regs
   in
-  let limit = (4 * Array.length ctx.regs) + 2 in
+  let limit = (4 * Array.length ctx.g.Graph.regs) + 2 in
   let continue_ = ref true in
   let iters = ref 0 in
   while !continue_ && !iters < limit do
@@ -459,6 +384,7 @@ let reset_trajectory ctx ~budget ~splits ~depth start =
 (* representative user-visible net of a class, for findings (the lint
    discipline: read or output-pin, no '#', prefer a real location) *)
 let class_rep ctx c =
+  let g = ctx.g in
   let visible =
     List.filter
       (fun (net : Netlist.net) ->
@@ -468,7 +394,7 @@ let class_rep ctx c =
            match net.Netlist.pin with
            | Some (_, (Etype.Out | Etype.Inout)) -> true
            | _ -> false))
-      ctx.members.(c)
+      (List.map (Netlist.net g.Graph.nl) (Graph.members g c))
   in
   match
     List.filter (fun (n : Netlist.net) -> not (Loc.is_dummy n.Netlist.loc)) visible
@@ -500,7 +426,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
   Array.iteri
     (fun i (r : Netlist.reg) ->
       if endst.(i) land Lint.m_undef <> 0 then
-        let loc = (Netlist.net ctx.nl r.Netlist.rout).Netlist.loc in
+        let loc = (Netlist.net ctx.g.Graph.nl r.Netlist.rout).Netlist.loc in
         Diag.Bag.warning bag ~code:Diag.Code.seq_uninitialized Diag.Lint_error
           loc
           "register '%s' can still hold UNDEF %d cycle%s after a RSET pulse \
@@ -508,7 +434,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
           r.Netlist.rpath depth
           (if depth = 1 then "" else "s")
           (mask_to_string endst.(i)))
-    ctx.regs;
+    ctx.g.Graph.regs;
   (* Z602: an observable net that reads UNDEF after reset settles,
      where stripping the registers' UNDEF bits removes the UNDEF — the
      power-up UNDEF escapes the reset cone (purely combinational UNDEF
@@ -533,25 +459,23 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
     cycle_masks ctx ~rset_mask:Lint.m_zero ~reg_masks:stripped
       ~exclusive:exclusive'
   in
-  for c = 0 to ctx.n - 1 do
-    if
-      ctx.is_canon.(c)
-      && Absint.observable_net ctx.absint c
-      && (not (Hashtbl.mem ctx.reg_ix_of_out c))
-      && (not ctx.is_input.(c))
-      && Lint.booleanize_mask sets.(c) land Lint.m_undef <> 0
-      && Lint.booleanize_mask sets'.(c) land Lint.m_undef = 0
-    then
-      match class_rep ctx c with
-      | Some net ->
-          Diag.Bag.warning bag ~code:Diag.Code.seq_undef_escape Diag.Lint_error
-            net.Netlist.loc
-            "'%s' can still read UNDEF after reset settles, and the UNDEF \
-             originates in uninitialized register state — power-up UNDEF \
-             escapes the reset cone into an observable net"
-            net.Netlist.name
-      | None -> ()
-  done
+  Graph.iter_roots ctx.g (fun c ->
+      if
+        Absint.observable_net ctx.absint ctx.g.Graph.rep.(c)
+        && ctx.regs_of_out.(c) = []
+        && (not ctx.g.Graph.input_class.(c))
+        && Lint.booleanize_mask sets.(c) land Lint.m_undef <> 0
+        && Lint.booleanize_mask sets'.(c) land Lint.m_undef = 0
+      then
+        match class_rep ctx c with
+        | Some net ->
+            Diag.Bag.warning bag ~code:Diag.Code.seq_undef_escape
+              Diag.Lint_error net.Netlist.loc
+              "'%s' can still read UNDEF after reset settles, and the UNDEF \
+               originates in uninitialized register state — power-up UNDEF \
+               escapes the reset cone into an observable net"
+              net.Netlist.name
+        | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Z603: concrete bounded reachability with witness traces              *)
@@ -584,116 +508,113 @@ let gate_eval op (ins : Logic.t list) =
   | Netlist.Grandom -> Logic.Undef (* excluded by has_random *)
 
 (* one concrete cycle, mirroring the simulator: returns the resolved
-   values, the conflicting classes and the next register state, or
-   None when the sweep fails to stabilize (combinational cycle) *)
+   values, the conflicting classes (as roots) and the next register
+   state, or None when the sweep fails to stabilize (combinational
+   cycle); [pokes] name their nets by root *)
 let concrete_cycle ctx (state : Logic.t array) (pokes : (int * Logic.t) list) =
-  let values = Array.make ctx.n Logic.Undef in
-  let root = Array.make ctx.n false in
+  let g = ctx.g in
+  let n = g.Graph.n_classes in
+  let values = Array.make n Logic.Undef in
   (* seeds: CLK is One, RSET defaults to Zero, pokes override *)
-  for c = 0 to ctx.n - 1 do
-    if ctx.is_canon.(c) && ctx.is_input.(c) then begin
-      root.(c) <- true;
-      values.(c) <-
-        (if c = ctx.clk then Logic.One
-         else if c = ctx.rset then Logic.Zero
-         else Logic.Undef)
-    end
-  done;
+  let root = Array.copy g.Graph.input_class in
+  values.(g.Graph.rset) <- Logic.Zero;
+  values.(g.Graph.clk) <- Logic.One;
   List.iter
-    (fun (c, v) -> if root.(c) then values.(c) <- Logic.booleanize v)
+    (fun (r, v) ->
+      let c = g.Graph.canon.(r) in
+      if root.(c) then values.(c) <- Logic.booleanize v)
     pokes;
   Array.iteri
     (fun i c ->
-      if ctx.producers.(c) = 0 then begin
+      if g.Graph.producer_count.(c) = 0 then begin
         root.(c) <- true;
         values.(c) <- state.(i)
       end)
-    ctx.rout_cls;
+    g.Graph.reg_out;
   let value_of_src = function
-    | Aconst v -> v
-    | Anet c -> values.(c)
+    | Netlist.Sconst v -> v
+    | Netlist.Snet c -> values.(c)
   in
-  let drives = Array.make ctx.n 0 in
+  let drives = Array.make n 0 in
   let resolve c =
     let d = ref 0 in
     let value = ref Logic.Noinfl in
-    List.iter
-      (fun p ->
-        let pv =
-          match p with
-          | Agate (op, ins) ->
-              gate_eval op (List.map value_of_src (Array.to_list ins))
-          | Adriver (None, src) -> value_of_src src
-          | Adriver (Some g, src) -> (
-              match Logic.booleanize (value_of_src g) with
-              | Logic.Zero -> Logic.Noinfl
-              | Logic.One -> value_of_src src
-              | _ -> Logic.Undef)
-        in
-        if pv <> Logic.Noinfl then begin
-          incr d;
-          if !d = 1 then value := pv
-        end)
-      ctx.prods.(c);
+    for k = 0 to g.Graph.producer_count.(c) - 1 do
+      let pv =
+        match prod g c k with
+        | Graph.Ngate { op; inputs; _ } ->
+            gate_eval op (List.map value_of_src (Array.to_list inputs))
+        | Graph.Ndriver { guard = None; source; _ } -> value_of_src source
+        | Graph.Ndriver { guard = Some gd; source; _ } -> (
+            match Logic.booleanize (value_of_src gd) with
+            | Logic.Zero -> Logic.Noinfl
+            | Logic.One -> value_of_src source
+            | _ -> Logic.Undef)
+      in
+      if pv <> Logic.Noinfl then begin
+        incr d;
+        if !d = 1 then value := pv
+      end
+    done;
     drives.(c) <- !d;
+    let mux = g.Graph.class_kind.(c) = Etype.KMux in
     let v =
       if !d >= 2 then Logic.Undef
       else if !d = 1 then !value
-      else if ctx.kmux.(c) then Logic.Noinfl
+      else if mux then Logic.Noinfl
       else Logic.Undef
     in
-    if ctx.kmux.(c) then v else Logic.booleanize v
+    if mux then v else Logic.booleanize v
   in
   let stable = ref false in
   let sweeps = ref 0 in
-  let cap = ctx.n + 8 in
+  let cap = g.Graph.n_nets + 8 in
   while (not !stable) && !sweeps < cap do
     incr sweeps;
     stable := true;
-    for c = 0 to ctx.n - 1 do
-      if ctx.is_canon.(c) && (not root.(c)) && ctx.prods.(c) <> [] then begin
-        let v = resolve c in
-        if v <> values.(c) then begin
-          values.(c) <- v;
-          stable := false
-        end
-      end
-    done
+    Graph.iter_roots g (fun c ->
+        if (not root.(c)) && g.Graph.producer_count.(c) > 0 then begin
+          let v = resolve c in
+          if v <> values.(c) then begin
+            values.(c) <- v;
+            stable := false
+          end
+        end)
   done;
   if not !stable then None
   else begin
     let conflicts = ref [] in
-    for c = ctx.n - 1 downto 0 do
-      if ctx.is_canon.(c) && (not root.(c)) && drives.(c) >= 2 then
-        conflicts := c :: !conflicts
-    done;
+    Graph.iter_roots g (fun c ->
+        if (not root.(c)) && drives.(c) >= 2 then
+          conflicts := g.Graph.rep.(c) :: !conflicts);
     let next =
       Array.mapi
-        (fun i (_ : Netlist.reg) ->
-          let rc = ctx.rin_cls.(i) in
-          if ctx.producers.(rc) = 0 then
-            if root.(rc) && ctx.is_input.(rc) then Logic.booleanize values.(rc)
+        (fun i rc ->
+          if g.Graph.producer_count.(rc) = 0 then
+            if root.(rc) && g.Graph.input_class.(rc) then
+              Logic.booleanize values.(rc)
             else state.(i)
           else if drives.(rc) >= 1 then Logic.booleanize values.(rc)
           else state.(i))
-        ctx.regs
+        g.Graph.reg_in
     in
-    Some (values, !conflicts, next)
+    Some (values, List.rev !conflicts, next)
   end
 
 let state_key state =
   String.init (Array.length state) (fun i -> Logic.to_char state.(i))
 
 let concrete_search ctx ~depth =
+  let g = ctx.g in
   if ctx.has_random then []
-  else if Array.length ctx.regs > max_search_regs then []
-  else if ctx.n > max_search_classes then []
+  else if Array.length g.Graph.regs > max_search_regs then []
+  else if g.Graph.n_nets > max_search_classes then []
   else if
     (* register outputs must be pure state for the mini-evaluator *)
-    Hashtbl.fold
-      (fun c idxs bad ->
-        bad || ctx.producers.(c) > 0 || List.length idxs > 1)
-      ctx.reg_ix_of_out false
+    Array.exists
+      (fun c ->
+        g.Graph.producer_count.(c) > 0 || List.length ctx.regs_of_out.(c) > 1)
+      g.Graph.reg_out
   then []
   else begin
     let targets =
@@ -703,14 +624,15 @@ let concrete_search ctx ~depth =
     in
     if targets = [] then []
     else begin
-      (* enumerated inputs: every top input except CLK (held at One) *)
+      (* enumerated inputs: every top input except CLK (held at One),
+         by root *)
       let ins =
         List.sort_uniq compare
           (List.filter_map
              (fun id ->
-               let c = Netlist.canonical ctx.nl id in
-               if c = ctx.clk then None else Some c)
-             (Check.top_input_nets ctx.design))
+               let c = g.Graph.canon.(id) in
+               if c = g.Graph.clk then None else Some g.Graph.rep.(c))
+             (Graph.top_input_nets g.Graph.design))
       in
       if List.length ins > max_search_inputs then []
       else begin
@@ -724,9 +646,9 @@ let concrete_search ctx ~depth =
                      (c, if bits land (1 lsl k) <> 0 then Logic.One else Logic.Zero))
                    ins))
         in
-        let name_of c = (Netlist.net ctx.nl c).Netlist.name in
+        let name_of r = (Netlist.net g.Graph.nl r).Netlist.name in
         let init =
-          Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) ctx.regs
+          Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) g.Graph.regs
         in
         let visited = Hashtbl.create 64 in
         Hashtbl.replace visited (state_key init) ();
@@ -849,9 +771,9 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
   List.iter
     (fun w ->
       let loc =
-        match class_rep ctx w.w_class with
+        match class_rep ctx ctx.g.Graph.canon.(w.w_class) with
         | Some net -> net.Netlist.loc
-        | None -> (Netlist.net ctx.nl w.w_class).Netlist.loc
+        | None -> (Netlist.net ctx.g.Graph.nl w.w_class).Netlist.loc
       in
       let stim =
         String.concat "; "
@@ -877,12 +799,12 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
          (fun i (r : Netlist.reg) ->
            {
              rt_name = r.Netlist.rpath;
-             rt_out = ctx.rout_cls.(i);
+             rt_out = ctx.g.Graph.rep.(ctx.g.Graph.reg_out.(i));
              rt_init = Lint.mask_of r.Netlist.rinit;
              rt_fix = fix.(i);
              rt_reset = Array.map (fun masks -> masks.(i)) traj;
            })
-         ctx.regs)
+         ctx.g.Graph.regs)
   in
   {
     sp_depth = depth;

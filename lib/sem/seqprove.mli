@@ -58,7 +58,7 @@ open Zeus_base
     (canonical net id, net name, value) — every enumerated input is
     poked every cycle, so the replay is deterministic. *)
 type witness = {
-  w_class : int;  (** canonical class of the conflicting net *)
+  w_class : int;  (** union-find root of the conflicting net's class *)
   w_name : string;
   w_cycle : int;  (** 0-based cycle at which the conflict fires *)
   w_trace : (int * string * Logic.t) list array;
@@ -67,7 +67,7 @@ type witness = {
 (** Per-register reachability facts, as value-set masks. *)
 type reg_trace = {
   rt_name : string;  (** hierarchical register path *)
-  rt_out : int;  (** canonical class of the register output *)
+  rt_out : int;  (** union-find root of the register output's class *)
   rt_init : int;  (** power-up mask *)
   rt_fix : int;  (** every value reachable from power-up (fixpoint) *)
   rt_reset : int array;

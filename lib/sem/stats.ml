@@ -29,103 +29,37 @@ let gate_histogram nl =
   Hashtbl.fold (fun op n acc -> (op, n) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-(* longest path in the (acyclic) dependency graph, by memoized DFS *)
-let depth nl =
-  let adj = Check.dependency_graph nl in
-  let n = Array.length adj in
-  (* reverse edges: depth.(v) = 1 + max over predecessors *)
-  let preds = Array.make n [] in
-  Array.iteri (fun src dsts -> List.iter (fun d -> preds.(d) <- src :: preds.(d)) dsts) adj;
-  let memo = Array.make n (-1) in
-  let rec go v =
-    if memo.(v) >= 0 then memo.(v)
-    else begin
-      memo.(v) <- 0 (* cycle guard: designs with check errors *);
-      let d =
-        List.fold_left (fun acc p -> max acc (1 + go p)) 0 preds.(v)
-      in
-      memo.(v) <- d;
-      d
-    end
-  in
+(* longest combinational path over the class graph *)
+let depth g = Array.fold_left max 0 (Graph.depths g)
+
+let max_fanout (g : Graph.t) =
   let best = ref 0 in
-  for v = 0 to n - 1 do
-    best := max !best (go v)
+  for c = 0 to g.Graph.n_classes - 1 do
+    best := max !best (Graph.consumer_count g c)
   done;
   !best
 
-let max_fanout nl =
-  let count = Hashtbl.create 64 in
-  let bump = function
-    | Netlist.Snet id ->
-        let id = Netlist.canonical nl id in
-        Hashtbl.replace count id
-          (1 + Option.value ~default:0 (Hashtbl.find_opt count id))
-    | Netlist.Sconst _ -> ()
-  in
-  List.iter (fun (g : Netlist.gate) -> List.iter bump g.Netlist.inputs) (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      bump d.Netlist.source;
-      Option.iter bump d.Netlist.guard)
-    (Netlist.drivers nl);
-  Hashtbl.fold (fun _ n acc -> max n acc) count 0
-
-let alias_classes nl =
-  let sizes = Hashtbl.create 64 in
-  for id = 0 to Netlist.net_count nl - 1 do
-    let c = Netlist.canonical nl id in
-    Hashtbl.replace sizes c
-      (1 + Option.value ~default:0 (Hashtbl.find_opt sizes c))
-  done;
-  Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) sizes 0
-
-(* nets from which no observable point (register input, OUT/INOUT pin
-   of a root instance) is reachable *)
-let dead_nets nl =
-  let adj = Check.dependency_graph nl in
-  let n = Array.length adj in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun src dsts -> List.iter (fun d -> preds.(d) <- src :: preds.(d)) dsts)
-    adj;
-  let live = Array.make n false in
-  let rec mark v =
-    if not live.(v) then begin
-      live.(v) <- true;
-      List.iter mark preds.(v)
-    end
-  in
-  (* observables: register inputs... *)
-  List.iter (fun (r : Netlist.reg) -> mark (Netlist.canonical nl r.Netlist.rin))
-    (Netlist.regs nl);
-  (* ...and output pins of root instances *)
-  List.iter
-    (fun (i : Netlist.instance) ->
-      if not (String.contains i.Netlist.ipath '.') then
-        List.iter
-          (fun (_, mode, nets) ->
-            match mode with
-            | Etype.Out | Etype.Inout ->
-                List.iter (fun id -> mark (Netlist.canonical nl id)) nets
-            | Etype.In -> ())
-          i.Netlist.iports)
-    (Netlist.instances nl);
-  (* driven nets (drivers or gate outputs) that are not live *)
-  let driven = Array.make n false in
-  List.iter
-    (fun (d : Netlist.driver) -> driven.(Netlist.canonical nl d.Netlist.target) <- true)
-    (Netlist.drivers nl);
-  List.iter
-    (fun (g : Netlist.gate) -> driven.(Netlist.canonical nl g.Netlist.output) <- true)
-    (Netlist.gates nl);
+let alias_classes (g : Graph.t) =
   let count = ref 0 in
-  for v = 0 to n - 1 do
-    if driven.(v) && not live.(v) then incr count
+  for c = 0 to g.Graph.n_classes - 1 do
+    if Graph.member_count g c > 1 then incr count
   done;
   !count
 
-let of_netlist nl =
+(* driven classes (drivers or gate outputs) from which no observable
+   point (register input, OUT/INOUT pin of a root instance) is
+   reachable *)
+let dead_nets (g : Graph.t) =
+  let live = Graph.observable g in
+  let count = ref 0 in
+  for c = 0 to g.Graph.n_classes - 1 do
+    if g.Graph.producer_count.(c) > 0 && not live.(c) then incr count
+  done;
+  !count
+
+let of_design (design : Elaborate.design) =
+  let nl = design.Elaborate.netlist in
+  let g = Graph.build design in
   {
     nets = Netlist.net_count nl;
     gates = List.length (Netlist.gates nl);
@@ -133,10 +67,10 @@ let of_netlist nl =
     regs = List.length (Netlist.regs nl);
     instances = List.length (Netlist.instances nl);
     gate_histogram = gate_histogram nl;
-    depth = depth nl;
-    max_fanout = max_fanout nl;
-    alias_classes = alias_classes nl;
-    dead_nets = dead_nets nl;
+    depth = depth g;
+    max_fanout = max_fanout g;
+    alias_classes = alias_classes g;
+    dead_nets = dead_nets g;
   }
 
 let pp ppf t =

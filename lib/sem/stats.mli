@@ -18,5 +18,6 @@ type t = {
           register input or an OUT pin of a root instance) *)
 }
 
-val of_netlist : Netlist.t -> t
+(** Statistics of a design's netlist, read off its {!Graph}. *)
+val of_design : Elaborate.design -> t
 val pp : t Fmt.t

@@ -36,23 +36,16 @@ let explain sim path ~depth =
   in
   let value_of id = List.hd (Sim.peek_nets sim [ id ]) in
   let name id = (Netlist.net nl id).Netlist.name in
-  let regs_by_out = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) ->
-      Hashtbl.replace regs_by_out (Netlist.canonical nl r.Netlist.rout) r)
-    (Netlist.regs nl);
-  let gates_by_out = Hashtbl.create 16 in
-  List.iter
-    (fun (gt : Netlist.gate) ->
-      Hashtbl.replace gates_by_out (Netlist.canonical nl gt.Netlist.output) gt)
-    (Netlist.gates nl);
-  let drivers_by_target = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let k = Netlist.canonical nl d.Netlist.target in
-      Hashtbl.replace drivers_by_target k
-        (d :: Option.value ~default:[] (Hashtbl.find_opt drivers_by_target k)))
-    (Netlist.drivers nl);
+  let g = Graph.build design in
+  let n_gates = Array.length g.Graph.gates in
+  (* a class's last gate and its drivers, newest first *)
+  let producers c =
+    let gate = ref None and drivers = ref [] in
+    Graph.iter_producers g c (fun node ->
+        if node < n_gates then gate := Some g.Graph.gates.(node)
+        else drivers := g.Graph.drivers.(node - n_gates) :: !drivers);
+    (!gate, !drivers)
+  in
   let seen = Hashtbl.create 16 in
   let entries = ref [] in
   let src_value = function
@@ -60,58 +53,56 @@ let explain sim path ~depth =
     | Netlist.Snet s -> value_of s
   in
   let rec go id depth =
-    let c = Netlist.canonical nl id in
+    let c = g.Graph.canon.(id) in
     if depth >= 0 && not (Hashtbl.mem seen c) then begin
       Hashtbl.replace seen c ();
       let reason, feeds =
-        match Hashtbl.find_opt regs_by_out c with
-        | Some r -> (Register r.Netlist.rpath, [])
-        | None -> (
-            match Hashtbl.find_opt gates_by_out c with
-            | Some gt ->
-                ( Gate
-                    ( gt.Netlist.op,
-                      List.map
-                        (fun s -> (src_name_nl s, src_value s))
-                        gt.Netlist.inputs ),
-                  List.filter_map
-                    (function Netlist.Snet s -> Some s | _ -> None)
-                    gt.Netlist.inputs )
-            | None -> (
-                match Hashtbl.find_opt drivers_by_target c with
-                | Some ds ->
-                    let fires =
-                      List.map
-                        (fun (d : Netlist.driver) ->
-                          let produced =
-                            match d.Netlist.guard with
-                            | None -> src_value d.Netlist.source
-                            | Some gs -> (
-                                match Logic.booleanize (src_value gs) with
-                                | Logic.Zero -> Logic.Noinfl
-                                | Logic.One -> src_value d.Netlist.source
-                                | Logic.Undef | Logic.Noinfl -> Logic.Undef)
-                          in
-                          {
-                            guard =
-                              Option.map
-                                (fun gs -> (src_name_nl gs, src_value gs))
-                                d.Netlist.guard;
-                            source =
-                              (src_name_nl d.Netlist.source,
-                               src_value d.Netlist.source);
-                            produced;
-                          })
-                        ds
+        let r = g.Graph.reg_of_out.(c) in
+        if r >= 0 then (Register g.Graph.regs.(r).Netlist.rpath, [])
+        else
+          match producers c with
+          | Some gt, _ ->
+              ( Gate
+                  ( gt.Netlist.op,
+                    List.map
+                      (fun s -> (src_name_nl s, src_value s))
+                      gt.Netlist.inputs ),
+                List.filter_map
+                  (function Netlist.Snet s -> Some s | _ -> None)
+                  gt.Netlist.inputs )
+          | None, (_ :: _ as ds) ->
+              let fires =
+                List.map
+                  (fun (d : Netlist.driver) ->
+                    let produced =
+                      match d.Netlist.guard with
+                      | None -> src_value d.Netlist.source
+                      | Some gs -> (
+                          match Logic.booleanize (src_value gs) with
+                          | Logic.Zero -> Logic.Noinfl
+                          | Logic.One -> src_value d.Netlist.source
+                          | Logic.Undef | Logic.Noinfl -> Logic.Undef)
                     in
-                    ( Drivers fires,
-                      List.concat_map
-                        (fun (d : Netlist.driver) ->
-                          List.filter_map
-                            (function Netlist.Snet s -> Some s | _ -> None)
-                            (d.Netlist.source :: Option.to_list d.Netlist.guard))
-                        ds )
-                | None -> (Input, [])))
+                    {
+                      guard =
+                        Option.map
+                          (fun gs -> (src_name_nl gs, src_value gs))
+                          d.Netlist.guard;
+                      source =
+                        (src_name_nl d.Netlist.source,
+                         src_value d.Netlist.source);
+                      produced;
+                    })
+                  ds
+              in
+              ( Drivers fires,
+                List.concat_map
+                  (fun (d : Netlist.driver) ->
+                    List.filter_map
+                      (function Netlist.Snet s -> Some s | _ -> None)
+                      (d.Netlist.source :: Option.to_list d.Netlist.guard))
+                  ds )
+          | None, [] -> (Input, [])
       in
       entries := { net = name id; value = value_of id; reason } :: !entries;
       List.iter (fun s -> go s (depth - 1)) feeds

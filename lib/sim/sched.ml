@@ -17,6 +17,8 @@
    keep level -1 and [acyclic] is false; incremental scheduling then
    degrades to full re-evaluation, which is always correct. *)
 
+open Zeus_sem
+
 type t = {
   node_level : int array; (* -1 = in (or downstream of) a cycle *)
   net_level : int array; (* per class; -1 = cyclic *)

@@ -22,4 +22,4 @@ type t = {
   nets_at : int array array;  (** class ids of each level, ascending *)
 }
 
-val build : Graph.t -> t
+val build : Zeus_sem.Graph.t -> t

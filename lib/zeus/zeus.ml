@@ -32,7 +32,7 @@ module Seqprove = Zeus_sem.Seqprove
 module Contract = Zeus_sem.Contract
 module Summary = Zeus_sem.Summary
 module Layout_ir = Zeus_sem.Layout_ir
-module Graph = Zeus_sim.Graph
+module Graph = Zeus_sem.Graph
 module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
 module Prand = Zeus_sim.Prand

@@ -117,7 +117,7 @@ let test_wave_undef_marks () =
 let test_dead_nets_on_corpus () =
   let count src =
     let d = compile src in
-    (Stats.of_netlist d.Elaborate.netlist).Stats.dead_nets
+    (Stats.of_design d).Stats.dead_nets
   in
   (* the adder uses everything it builds *)
   Alcotest.(check int) "adder4 has no dead logic" 0 (count Corpus.adder4);
@@ -135,7 +135,7 @@ let test_dead_nets_detected () =
       "TYPE t = COMPONENT (IN x: boolean; OUT y: boolean) IS SIGNAL u: \
        boolean; BEGIN u := NOT x; * := u; y := x END;\nSIGNAL s: t;"
   in
-  let s = Stats.of_netlist d.Elaborate.netlist in
+  let s = Stats.of_design d in
   Alcotest.(check bool) "dead logic found" true (s.Stats.dead_nets > 0)
 
 let () =

@@ -228,6 +228,22 @@ let test_undriven_warning () =
          d.Diag.severity = Diag.Warning && d.Diag.kind = Diag.Assign_error)
        diags)
 
+(* per-class diagnostics come out in ascending union-find-root order
+   (declaration order here), not in hash-table order *)
+let test_undriven_order () =
+  let names =
+    List.filter_map
+      (fun (d : Diag.t) ->
+        if d.Diag.code = Some Diag.Code.undriven_read then
+          Some (String.sub d.Diag.message 1 3)
+        else None)
+      (diags_of
+         "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS SIGNAL p, q, \
+          r, u, v, w: boolean; BEGIN p := a; q := a; r := a; y := AND(p, q, r, \
+          u, v, w) END; SIGNAL s: t;")
+  in
+  Alcotest.(check (list string)) "Z201 order" [ "s.u"; "s.v"; "s.w" ] names
+
 (* the corpus passes all static checks *)
 let test_corpus_clean () =
   List.iter
@@ -286,6 +302,9 @@ let () =
           Alcotest.test_case "parallel" `Quick test_parallel_neutralizes;
         ] );
       ( "warnings",
-        [ Alcotest.test_case "undriven" `Quick test_undriven_warning ] );
+        [
+          Alcotest.test_case "undriven" `Quick test_undriven_warning;
+          Alcotest.test_case "undriven order" `Quick test_undriven_order;
+        ] );
       ( "corpus", [ Alcotest.test_case "clean" `Quick test_corpus_clean ] );
     ]

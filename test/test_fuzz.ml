@@ -164,7 +164,7 @@ let prop_optimize_identity =
               (fun (s1 : Logic.t option array) (s2 : Logic.t option array) ->
                 Array.iteri
                   (fun c root ->
-                    if ai.Absint.observable.(ai.Absint.canon.(root)) then begin
+                    if Absint.observable_net ai root then begin
                       let slot2 = g2.Graph.rep.(g2.Graph.canon.(root)) in
                       if s1.(root) <> s2.(slot2) then
                         QCheck.Test.fail_reportf

@@ -291,7 +291,7 @@ let test_engines_agree_corpus () =
   List.iter
     (fun (name, src) ->
       let d = compile src in
-      let inputs = Check.top_input_nets d in
+      let inputs = Graph.top_input_nets d in
       let rng = Random.State.make [| 77 |] in
       let stimulus =
         List.init 4 (fun _ ->
@@ -522,7 +522,7 @@ let prop_snapshot_identity =
     (QCheck.make ~print ~shrink gen)
     (fun (di, stimulus) ->
       let d = compile (snd pool.(di)) in
-      let inputs = Check.top_input_nets d in
+      let inputs = Graph.top_input_nets d in
       let lv = function
         | 0 -> Logic.Zero
         | 1 -> Logic.One

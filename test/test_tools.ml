@@ -59,7 +59,7 @@ let test_testbench_expect_bits () =
 
 let test_stats_counts () =
   let d = compile (Corpus.adder_n 8) in
-  let s = Stats.of_netlist d.Elaborate.netlist in
+  let s = Stats.of_design d in
   Alcotest.(check int) "gates" 40 s.Stats.gates;
   Alcotest.(check int) "instances" 25 s.Stats.instances;
   Alcotest.(check bool) "histogram covers all gates" true
@@ -70,7 +70,7 @@ let test_stats_depth_scales () =
   (* ripple-carry depth grows linearly with width *)
   let depth n =
     let d = compile (Corpus.adder_n n) in
-    (Stats.of_netlist d.Elaborate.netlist).Stats.depth
+    (Stats.of_design d).Stats.depth
   in
   let d8 = depth 8 and d16 = depth 16 and d32 = depth 32 in
   Alcotest.(check bool)
@@ -101,7 +101,7 @@ let test_stats_regs_break_depth () =
     Buffer.add_string buf
       (Printf.sprintf "  q := r[%d].out\nEND;\nSIGNAL s: t;\n" n);
     let d = compile (Buffer.contents buf) in
-    (Stats.of_netlist d.Elaborate.netlist).Stats.depth
+    (Stats.of_design d).Stats.depth
   in
   Alcotest.(check int) "depth independent of pipeline length" (pipeline 4)
     (pipeline 32)
@@ -112,7 +112,7 @@ let test_stats_alias_classes () =
       "TYPE t = COMPONENT (em,fm,gm: multiplex; IN a: boolean) IS BEGIN em \
        == fm; fm == gm; IF a THEN em := 1 END END; SIGNAL s: t;"
   in
-  let s = Stats.of_netlist d.Elaborate.netlist in
+  let s = Stats.of_design d in
   Alcotest.(check int) "one alias class" 1 s.Stats.alias_classes
 
 (* ---- Explain ---- *)
@@ -227,6 +227,16 @@ let test_graph_shape () =
       (g.Graph.prod_off.(c + 1) - g.Graph.prod_off.(c))
       g.Graph.producer_count.(c)
   done;
+  (* member lists partition the nets, ascending within each class *)
+  for c = 0 to g.Graph.n_classes - 1 do
+    let ms = Graph.members g c in
+    Alcotest.(check (list int)) "members ascending" (List.sort compare ms) ms;
+    List.iter
+      (fun id -> Alcotest.(check int) "member's class" c g.Graph.canon.(id))
+      ms
+  done;
+  Alcotest.(check int) "members cover every net" g.Graph.n_nets
+    (Array.length g.Graph.mem_nets);
   (* consumer lists point back at nodes that really read the class *)
   for c = 0 to g.Graph.n_classes - 1 do
     Graph.iter_consumers g c (fun node ->
@@ -250,6 +260,43 @@ let test_graph_shape () =
           | Netlist.Sconst _ -> ())
         (Graph.node_inputs node))
     g.Graph.nodes
+
+(* one graph per design: the same value on a repeated build *)
+let test_graph_memo_same () =
+  let d = compile (Corpus.adder_n 4) in
+  Alcotest.(check bool) "physically equal" true (Graph.build d == Graph.build d)
+
+(* the reduction's design record is a new key: its graph is built over
+   the reduced netlist, whose merged copies make fewer classes *)
+let test_graph_memo_reduced () =
+  let d = compile (Corpus.routing_network 8) in
+  let g = Graph.build d in
+  let r = Reduce.run d in
+  let g' = Graph.build r.Reduce.design in
+  Alcotest.(check bool) "a different graph" true (g != g');
+  let nl = r.Reduce.design.Elaborate.netlist in
+  let roots = ref 0 in
+  for id = 0 to Netlist.net_count nl - 1 do
+    if Netlist.canonical nl id = id then incr roots
+  done;
+  Alcotest.(check int) "reduced class count" !roots g'.Graph.n_classes;
+  Alcotest.(check bool) "copies merged" true
+    (g'.Graph.n_classes < g.Graph.n_classes)
+
+(* building another design in between leaves a correct graph for the
+   first one *)
+let test_graph_memo_interleaved () =
+  let d = compile (Corpus.adder_n 4) and d2 = compile Corpus.mux4 in
+  let g = Graph.build d in
+  let g2 = Graph.build d2 in
+  let g3 = Graph.build d in
+  Alcotest.(check bool) "graph of its own design" true
+    (g2.Graph.design == d2 && g3.Graph.design == d);
+  Alcotest.(check int) "classes" g.Graph.n_classes g3.Graph.n_classes;
+  Alcotest.(check bool) "canon" true (g.Graph.canon = g3.Graph.canon);
+  Alcotest.(check bool) "producers" true
+    (g.Graph.prod_nodes = g3.Graph.prod_nodes);
+  Alcotest.(check bool) "names" true (g.Graph.names = g3.Graph.names)
 
 let () =
   Alcotest.run "tools"
@@ -282,5 +329,13 @@ let () =
           Alcotest.test_case "counter ranking" `Quick test_activity_counter;
           Alcotest.test_case "idle design" `Quick test_activity_idle_design;
         ] );
-      ("graph", [ Alcotest.test_case "shape" `Quick test_graph_shape ]);
+      ( "graph",
+        [
+          Alcotest.test_case "shape" `Quick test_graph_shape;
+          Alcotest.test_case "memo same design" `Quick test_graph_memo_same;
+          Alcotest.test_case "memo reduced design" `Quick
+            test_graph_memo_reduced;
+          Alcotest.test_case "memo interleaved designs" `Quick
+            test_graph_memo_interleaved;
+        ] );
     ]
